@@ -28,13 +28,18 @@ namespace osp::bench {
 
 class JsonBenchReporter : public benchmark::ConsoleReporter {
  public:
+  /// Run-wide context fields (name, value) copied into every record.
+  using Fields = std::vector<std::pair<std::string, double>>;
+
   /// `default_path` is used when OSP_BENCH_JSON is unset. When
   /// `always_emit_gflops` is set every record carries a gflops field
   /// (0.0 without a "flops" counter) — the tensor trajectory's shape.
   explicit JsonBenchReporter(std::string default_path,
-                             bool always_emit_gflops = false)
+                             bool always_emit_gflops = false,
+                             Fields common = {})
       : default_path_(std::move(default_path)),
-        always_emit_gflops_(always_emit_gflops) {}
+        always_emit_gflops_(always_emit_gflops),
+        common_(std::move(common)) {}
 
   void ReportRuns(const std::vector<Run>& runs) override {
     benchmark::ConsoleReporter::ReportRuns(runs);
@@ -61,6 +66,7 @@ class JsonBenchReporter : public benchmark::ConsoleReporter {
         if (name == "flops") continue;
         rec.set(name, counter.value);
       }
+      for (const auto& [name, value] : common_) rec.set(name, value);
       records_.push_back(std::move(rec));
     }
   }
@@ -84,16 +90,19 @@ class JsonBenchReporter : public benchmark::ConsoleReporter {
  private:
   std::string default_path_;
   bool always_emit_gflops_;
+  Fields common_;
   std::vector<util::JsonObject> records_;
 };
 
 /// Shared main body for the JSON-emitting micro benches.
 inline int run_benchmarks_with_json(int argc, char** argv,
                                     const std::string& default_path,
-                                    bool always_emit_gflops = false) {
+                                    bool always_emit_gflops = false,
+                                    JsonBenchReporter::Fields common = {}) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  JsonBenchReporter reporter(default_path, always_emit_gflops);
+  JsonBenchReporter reporter(default_path, always_emit_gflops,
+                             std::move(common));
   benchmark::RunSpecifiedBenchmarks(&reporter);
   const bool ok = reporter.WriteJson();
   benchmark::Shutdown();

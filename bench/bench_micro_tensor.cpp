@@ -1,11 +1,13 @@
 // Micro-benchmarks (google-benchmark): tensor kernels on the hot path of
 // the proxy-model training — matmul orientations (square, skewed, and
-// tile-boundary shapes), conv via im2col, softmax, and the rank-2 helpers.
+// tile-boundary shapes), implicit-GEMM conv and its gather packer, softmax,
+// and the rank-2 helpers.
 //
 // Besides the console table, the run writes bench_out/BENCH_micro_tensor.json
 // (override the path with OSP_BENCH_JSON): one record per benchmark with
-// op, shape, ns/op and GFLOP/s, so successive PRs can diff kernel
-// performance mechanically. The curated copy lives at the repo top level.
+// op, shape, ns/op, GFLOP/s and the thread-pool size, so successive PRs
+// can diff kernel performance mechanically. The curated copy lives at the
+// repo top level.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -24,6 +26,7 @@
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -94,7 +97,7 @@ void BM_MatmulNt(benchmark::State& state) {
 BENCHMARK(BM_MatmulNt)->Arg(64)->Arg(128)->Arg(256);
 
 // Skewed shapes: the training hot path is full of these (batch×features by
-// features×classes, attention scores, conv im2col panels). Args are m, k, n.
+// features×classes, attention scores, conv-shaped panels). Args are m, k, n.
 void BM_MatmulSkewed(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const auto k = static_cast<std::size_t>(state.range(1));
@@ -138,10 +141,16 @@ void BM_ConvForward(benchmark::State& state) {
   }
   set_flops(state, conv_flops(batch, conv.geometry(), out_c));
 }
+// The first three are generic CIFAR-scale shapes; the last four are the
+// ResNet50 proxy's layers (models::resnet50_cifar10) at its batch of 64.
 BENCHMARK(BM_ConvForward)
     ->Args({16, 3, 16, 32})
     ->Args({16, 16, 32, 32})
-    ->Args({16, 32, 32, 16});
+    ->Args({16, 32, 32, 16})
+    ->Args({64, 3, 10, 8})
+    ->Args({64, 10, 14, 8})
+    ->Args({64, 14, 18, 4})
+    ->Args({64, 18, 18, 4});
 
 void BM_ConvBackward(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
@@ -162,21 +171,37 @@ void BM_ConvBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvBackward)
     ->Args({16, 16, 32, 32})
-    ->Args({16, 32, 32, 16});
+    ->Args({16, 32, 32, 16})
+    ->Args({64, 3, 10, 8})
+    ->Args({64, 10, 14, 8})
+    ->Args({64, 14, 18, 4})
+    ->Args({64, 18, 18, 4});
 
-void BM_Im2col(benchmark::State& state) {
+// Implicit im2col: packs every B panel of one image's X through the
+// ConvGather table (what Conv2d's forward does per sample), 16 channels,
+// 3x3, pad 1. Reports the X elements packed per second.
+void BM_ConvGatherPack(benchmark::State& state) {
   const auto side = static_cast<std::size_t>(state.range(0));
-  Conv2dGeom g{16, side, side, 3, 1, 1};
+  const Conv2dGeom g{16, side, side, 3, 1, 1};
+  const osp::tensor::ConvGather gather(g);
   osp::util::Rng rng(7);
-  std::vector<float> image(16 * side * side);
-  for (float& v : image) v = static_cast<float>(rng.normal());
-  Tensor cols({g.patches(), g.patch_len()});
-  for (auto _ : state) {
-    osp::tensor::im2col(image, g, cols);
-    benchmark::DoNotOptimize(cols.raw());
+  std::vector<float> image(gather.source_stride(), 0.0f);
+  for (std::size_t i = 0; i + 1 < image.size(); ++i) {
+    image[i] = static_cast<float>(rng.normal());
   }
+  std::vector<float> panel(g.patch_len() * osp::tensor::kGemmNR);
+  for (auto _ : state) {
+    for (std::size_t p0 = 0; p0 < g.patches(); p0 += osp::tensor::kGemmNR) {
+      gather.pack_x(image.data(), p0, panel.data());
+      benchmark::DoNotOptimize(panel.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(g.patches() *
+                                                    g.patch_len()));
 }
-BENCHMARK(BM_Im2col)->Arg(8)->Arg(16)->Arg(32);
+BENCHMARK(BM_ConvGatherPack)->Arg(8)->Arg(16)->Arg(32);
 
 void BM_SoftmaxRows(benchmark::State& state) {
   const auto cols = static_cast<std::size_t>(state.range(0));
@@ -444,7 +469,11 @@ BENCHMARK(BM_WireAxpy)->Arg(262144);
 int main(int argc, char** argv) {
   // always_emit_gflops keeps the historical record shape: every tensor
   // record carries a gflops field even when the op reports no FLOPs.
+  // Every record also names the pool size it ran with (OSP_NUM_THREADS),
+  // since the threaded kernels' times depend on it.
+  const auto threads =
+      static_cast<double>(osp::util::ThreadPool::global().size());
   return osp::bench::run_benchmarks_with_json(
       argc, argv, "bench_out/BENCH_micro_tensor.json",
-      /*always_emit_gflops=*/true);
+      /*always_emit_gflops=*/true, {{"threads", threads}});
 }

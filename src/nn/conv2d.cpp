@@ -1,6 +1,7 @@
 #include "nn/conv2d.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 
 #include "tensor/init.hpp"
@@ -9,7 +10,8 @@
 
 namespace osp::nn {
 
-using tensor::Conv2dGeom;
+using tensor::kGemmNR;
+using tensor::packed_a_size;
 using tensor::Tensor;
 
 Conv2d::Conv2d(std::string name, std::size_t in_channels,
@@ -22,17 +24,10 @@ Conv2d::Conv2d(std::string name, std::size_t in_channels,
       weight_({out_channels, geom_.patch_len()}),
       bias_({out_channels}),
       wgrad_({out_channels, geom_.patch_len()}),
-      bgrad_({out_channels}) {
+      bgrad_({out_channels}),
+      gather_(geom_) {
   OSP_CHECK(out_channels > 0, "Conv2d needs positive out_channels");
   tensor::he_normal(weight_, geom_.patch_len(), rng);
-}
-
-void Conv2d::ensure_scratch(std::size_t batch) {
-  const std::size_t rows = batch * geom_.patches();
-  if (cols_all_.rank() == 2 && cols_all_.dim(0) == rows) return;
-  cols_all_ = Tensor({rows, geom_.patch_len()});
-  g_all_ = Tensor({rows, out_channels_});
-  dcols_all_ = Tensor({rows, geom_.patch_len()});
 }
 
 Tensor Conv2d::forward(const Tensor& input, bool /*train*/) {
@@ -41,84 +36,116 @@ Tensor Conv2d::forward(const Tensor& input, bool /*train*/) {
                 input.dim(3) == geom_.in_w,
             "Conv2d input geometry mismatch");
   const std::size_t batch = input.dim(0);
-  const std::size_t oh = geom_.out_h(), ow = geom_.out_w();
+  const std::size_t out_c = out_channels_;
   const std::size_t patches = geom_.patches();
   const std::size_t plen = geom_.patch_len();
-  const std::size_t img = geom_.in_channels * geom_.in_h * geom_.in_w;
+  const std::size_t src_stride = gather_.source_stride();
+  const std::size_t img = src_stride - 1;
 
   batch_ = batch;
-  ensure_scratch(batch);
-  Tensor out({batch, out_channels_, oh, ow});
+  input_.resize(batch * src_stride);
+  for (std::size_t b = 0; b < batch; ++b) {
+    std::memcpy(input_.data() + b * src_stride, input.raw() + b * img,
+                img * sizeof(float));
+    input_[b * src_stride + img] = 0.0f;
+  }
+  Tensor out({batch, out_c, geom_.out_h(), geom_.out_w()});
+  std::vector<float> wpack(packed_a_size(out_c, plen));
+  tensor::pack_a_strips(weight_.raw(), out_c, plen, plen, 1, wpack.data());
 
-  // Expand the whole batch (samples in parallel, disjoint row blocks)…
-  const auto in_data = input.data();
-  float* cols = cols_all_.raw();
+  // out_b = W · X_b + bias, one kGemmNR-wide panel of output positions at
+  // a time, stored as contiguous NCHW rows.
+  const float* bias = bias_.raw();
   util::ThreadPool::global().parallel_for(
       batch,
       [&](std::size_t b0, std::size_t b1) {
+        thread_local std::vector<float> xpack;
+        xpack.resize(plen * kGemmNR);
+        float* bp = xpack.data();
         for (std::size_t b = b0; b < b1; ++b) {
-          tensor::im2col_rows(in_data.subspan(b * img, img), geom_,
-                              cols + b * patches * plen);
+          float* o = out.raw() + b * out_c * patches;
+          for (std::size_t p0 = 0; p0 < patches; p0 += kGemmNR) {
+            const std::size_t nr = std::min(kGemmNR, patches - p0);
+            gather_.pack_x(input_.data() + b * src_stride, p0, bp);
+            tensor::gemm_panel(wpack.data(), out_c, bp, plen, nr, bias,
+                               o + p0, patches);
+          }
         }
       },
       1);
-  // …then one batched GEMM; the NCHW transpose + bias live in its store
-  // epilogue, so there is no separate pass over the output.
-  tensor::conv_forward_gemm(cols_all_, weight_, bias_.data(), batch, patches,
-                            out);
   return out;
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
   const std::size_t batch = batch_;
-  const std::size_t oh = geom_.out_h(), ow = geom_.out_w();
+  const std::size_t out_c = out_channels_;
   OSP_CHECK(batch > 0, "Conv2d backward before forward");
   OSP_CHECK(grad_out.rank() == 4 && grad_out.dim(0) == batch &&
-                grad_out.dim(1) == out_channels_ && grad_out.dim(2) == oh &&
-                grad_out.dim(3) == ow,
+                grad_out.dim(1) == out_c &&
+                grad_out.dim(2) == geom_.out_h() &&
+                grad_out.dim(3) == geom_.out_w(),
             "Conv2d grad shape mismatch");
   const std::size_t patches = geom_.patches();
   const std::size_t plen = geom_.patch_len();
-  const std::size_t img = geom_.in_channels * geom_.in_h * geom_.in_w;
+  const std::size_t src_stride = gather_.source_stride();
+  const std::size_t img = src_stride - 1;
+  const std::size_t ld = gather_.ld();
   Tensor dx({batch, geom_.in_channels, geom_.in_h, geom_.in_w});
+  std::vector<float> wtpack(packed_a_size(plen, out_c));
+  tensor::pack_a_strips(weight_.raw(), plen, out_c, 1, plen, wtpack.data());
+  // Every sample's dW_b, kept apart so they can be added in batch order.
+  // Workers reach it through this pointer, not their own thread_local.
+  thread_local std::vector<float> dw_scratch;
+  dw_scratch.resize(batch * out_c * plen);
+  float* dw_all = dw_scratch.data();
+  const float* g_all = grad_out.raw();
 
-  // grad_out is NCHW ([out_c, patches] per sample); flip each sample into
-  // its [patches, out_c] row block of the batched gradient matrix.
-  const float* pg_all = grad_out.raw();
-  float* pgm_all = g_all_.raw();
   util::ThreadPool::global().parallel_for(
       batch,
       [&](std::size_t b0, std::size_t b1) {
+        thread_local std::vector<float> gpack, bpack, dcols;
+        gpack.resize(packed_a_size(out_c, patches));
+        bpack.resize(std::max(patches, out_c) * kGemmNR);
+        dcols.resize(plen * ld);
+        float* bp = bpack.data();
         for (std::size_t b = b0; b < b1; ++b) {
-          const float* pg = pg_all + b * out_channels_ * patches;
-          float* pgm = pgm_all + b * patches * out_channels_;
-          for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-            for (std::size_t p = 0; p < patches; ++p) {
-              pgm[p * out_channels_ + oc] = pg[oc * patches + p];
-            }
+          const float* x = input_.data() + b * src_stride;
+          const float* g = g_all + b * out_c * patches;
+          float* dw = dw_all + b * out_c * plen;
+          // dW_b[out_c, plen] = G_b · X_bᵀ, reducing over output positions.
+          tensor::pack_a_strips(g, out_c, patches, patches, 1, gpack.data());
+          for (std::size_t k0 = 0; k0 < plen; k0 += kGemmNR) {
+            const std::size_t nr = std::min(kGemmNR, plen - k0);
+            gather_.pack_xt(x, k0, bp);
+            tensor::gemm_panel(gpack.data(), out_c, bp, patches, nr, nullptr,
+                               dw + k0, plen);
           }
+          // dX_b[plen, ld] = Wᵀ · G_b, reducing over output channels.
+          for (std::size_t p0 = 0; p0 < patches; p0 += kGemmNR) {
+            tensor::pack_b_panel(g + p0, out_c,
+                                 std::min(kGemmNR, patches - p0), patches, 1,
+                                 bp);
+            tensor::gemm_panel(wtpack.data(), plen, bp, out_c, kGemmNR,
+                               nullptr, dcols.data() + p0, ld);
+          }
+          gather_.col2im(dcols.data(), dx.raw() + b * img);
         }
       },
       1);
-  // dW += Σ_b g_bᵀ · cols_b, one fresh product per sample added in batch
-  // order — the same float grouping as the per-sample implementation, so
-  // training trajectories are bit-identical to it.
-  tensor::matmul_tn_blocked_acc(g_all_, cols_all_, batch, wgrad_);
-  // db += per-channel sums over every (sample, patch) row.
-  tensor::sum_rows(g_all_, bgrad_.data());
-  // dcols = g_all · W : [batch*patches, out_c]·[out_c, plen]
-  tensor::matmul(g_all_, weight_, dcols_all_);
-  const float* dcols = dcols_all_.raw();
-  auto dx_data = dx.data();
-  util::ThreadPool::global().parallel_for(
-      batch,
-      [&](std::size_t b0, std::size_t b1) {
-        for (std::size_t b = b0; b < b1; ++b) {
-          tensor::col2im_rows(dcols + b * patches * plen, geom_,
-                              dx_data.subspan(b * img, img));
-        }
-      },
-      1);
+
+  // wgrad += dW_b in batch order; bgrad sums G over (sample, position).
+  float* wg = wgrad_.raw();
+  for (std::size_t b = 0; b < batch; ++b) {
+    const float* dw = dw_all + b * out_c * plen;
+    for (std::size_t i = 0; i < out_c * plen; ++i) wg[i] += dw[i];
+  }
+  float* bg = bgrad_.raw();
+  for (std::size_t b = 0; b < batch; ++b) {
+    for (std::size_t o = 0; o < out_c; ++o) {
+      const float* g = g_all + (b * out_c + o) * patches;
+      for (std::size_t p = 0; p < patches; ++p) bg[o] += g[p];
+    }
+  }
   return dx;
 }
 

@@ -1,5 +1,18 @@
-// 2-D convolution over NCHW tensors via im2col + matmul.
+// 2-D convolution over NCHW tensors as an implicit GEMM.
+//
+// Per sample the output is out_b[out_c, patches] = W · X_b + bias, where
+// X_b[patch_len, patches] is the im2col matrix of the image. X_b is never
+// materialized: tensor::ConvGather packs the GEMM's B panels straight from
+// the image. Backward runs per sample in the same orientation:
+// dW_b = G_b · X_bᵀ, dX_b = Wᵀ · G_b, and a gather-form col2im of dX_b.
+//
+// Every product and sum happens in the float order of the straight-loop
+// im2col + GEMM formulation (ascending reduction index, one accumulator
+// from 0, per-sample dW added to the gradient in batch order), so results
+// are bitwise identical to it and independent of the thread count.
 #pragma once
+
+#include <vector>
 
 #include "nn/layer.hpp"
 #include "tensor/ops.hpp"
@@ -21,10 +34,6 @@ class Conv2d : public Layer {
   [[nodiscard]] std::size_t out_channels() const { return out_channels_; }
 
  private:
-  /// (Re)sizes the batched scratch matrices when the batch size changes;
-  /// steady-state iterations reuse them without allocating.
-  void ensure_scratch(std::size_t batch);
-
   tensor::Conv2dGeom geom_;
   std::size_t out_channels_;
   tensor::Tensor weight_;  // [out_c, C*k*k]
@@ -32,12 +41,10 @@ class Conv2d : public Layer {
   tensor::Tensor wgrad_;
   tensor::Tensor bgrad_;
   std::size_t batch_ = 0;  // batch of the last forward (for backward checks)
-  // Persistent batched scratch: every sample's rows back-to-back, so the
-  // whole batch runs through ONE GEMM per pass instead of `batch` small
-  // ones, and no per-sample Tensors are allocated on the hot path.
-  tensor::Tensor cols_all_;   // im2col rows        [batch*patches, C*k*k]
-  tensor::Tensor g_all_;      // grad as matrix     [batch*patches, out_c]
-  tensor::Tensor dcols_all_;  // col gradient       [batch*patches, C*k*k]
+  tensor::ConvGather gather_;
+  // The last forward's input, one sample per gather_.source_stride()
+  // floats: the image followed by the zero slot the gather reads for pads.
+  std::vector<float> input_;
 };
 
 class MaxPool2d : public Layer {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "util/check.hpp"
@@ -34,8 +35,8 @@ namespace {
 
 // Register tile. 4×8 keeps the accumulator tile plus one A broadcast and
 // two B vectors inside 16 xmm registers on baseline x86-64.
-constexpr std::size_t kMR = 4;
-constexpr std::size_t kNR = 8;
+constexpr std::size_t kMR = kGemmMR;
+constexpr std::size_t kNR = kGemmNR;
 // Cache blocking: packed B panel (kKC×kNC) ~2 MB streams from L3, each
 // packed A strip (kMR×kKC) ~8 KB streams from L1.
 constexpr std::size_t kKC = 512;
@@ -48,136 +49,154 @@ constexpr std::size_t kSmallGemmElems = 16384;  // m*n*k below: naive inline
 enum class Trans { N, T };
 
 // ---------------------------------------------------------------------------
-// Micro-kernel: rank-kl update of one kMR×kNR accumulator tile from packed
-// panels. `ap` is kl×kMR (column of A strips), `bp` is kl×kNR, `acc` is the
-// row-major kMR×kNR tile. Dispatched at runtime: on AVX2 hardware each tile
-// row is one 8-lane vector. Both variants perform the identical sequence of
-// IEEE mul-then-add per element (lanes are independent j columns; k stays
-// serial, and FMA is deliberately NOT used because fusing would change
-// rounding), so results are bit-identical across the dispatch.
+// Panel kernel behind gemm_panel() and the blocked GEMM: every kMR-row strip
+// of packed A against one packed B panel. Each kMR×kNR tile starts at 0 (or
+// at C when accumulating), takes its kl rank-1 updates in ascending p, and
+// is stored back to C. Dispatched at runtime: on AVX2 hardware each tile
+// row stays in one 8-lane register from the first update to the store.
+// Both variants perform the identical sequence of IEEE mul-then-add per
+// element (lanes are independent j columns; k stays serial, and FMA is
+// deliberately NOT used because fusing would change rounding), so results
+// are bit-identical across the dispatch.
 // ---------------------------------------------------------------------------
 
-void micro_kernel_portable(const float* __restrict ap,
-                           const float* __restrict bp, std::size_t kl,
-                           float* __restrict acc) {
-  for (std::size_t p = 0; p < kl; ++p) {
-    const float* arow = ap + p * kMR;
-    const float* brow = bp + p * kNR;
-    for (std::size_t ii = 0; ii < kMR; ++ii) {
-      const float av = arow[ii];
-      for (std::size_t jj = 0; jj < kNR; ++jj) {
-        acc[ii * kNR + jj] += av * brow[jj];
-      }
+/// tile[i][j] = c[i*ldc + j] for i < mr, j < nr; 0 elsewhere.
+inline void load_tile(const float* c, std::size_t ldc, std::size_t mr,
+                      std::size_t nr, float* tile) {
+  for (std::size_t ii = 0; ii < kMR; ++ii) {
+    for (std::size_t jj = 0; jj < kNR; ++jj) {
+      tile[ii * kNR + jj] = ii < mr && jj < nr ? c[ii * ldc + jj] : 0.0f;
     }
   }
 }
 
-#ifdef OSP_GEMM_X86_DISPATCH
-static_assert(kMR == 4 && kNR == 8, "AVX2 micro-kernel assumes a 4x8 tile");
-__attribute__((target("avx2"))) void micro_kernel_avx2(
-    const float* __restrict ap, const float* __restrict bp, std::size_t kl,
-    float* __restrict acc) {
-  __m256 c0 = _mm256_loadu_ps(acc + 0);
-  __m256 c1 = _mm256_loadu_ps(acc + 8);
-  __m256 c2 = _mm256_loadu_ps(acc + 16);
-  __m256 c3 = _mm256_loadu_ps(acc + 24);
-  for (std::size_t p = 0; p < kl; ++p) {
-    const __m256 bv = _mm256_loadu_ps(bp + p * 8);
-    const float* arow = ap + p * 4;
-    c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_broadcast_ss(arow + 0), bv));
-    c1 = _mm256_add_ps(c1, _mm256_mul_ps(_mm256_broadcast_ss(arow + 1), bv));
-    c2 = _mm256_add_ps(c2, _mm256_mul_ps(_mm256_broadcast_ss(arow + 2), bv));
-    c3 = _mm256_add_ps(c3, _mm256_mul_ps(_mm256_broadcast_ss(arow + 3), bv));
+/// c[i*ldc + j] = tile[i][j] (+ bias[i]) for i < mr, j < nr.
+inline void store_tile(const float* tile, std::size_t mr, std::size_t nr,
+                       const float* bias, float* c, std::size_t ldc) {
+  for (std::size_t ii = 0; ii < mr; ++ii) {
+    float* dst = c + ii * ldc;
+    const float* src = tile + ii * kNR;
+    if (bias != nullptr) {
+      for (std::size_t jj = 0; jj < nr; ++jj) dst[jj] = src[jj] + bias[ii];
+    } else {
+      for (std::size_t jj = 0; jj < nr; ++jj) dst[jj] = src[jj];
+    }
   }
-  _mm256_storeu_ps(acc + 0, c0);
-  _mm256_storeu_ps(acc + 8, c1);
-  _mm256_storeu_ps(acc + 16, c2);
-  _mm256_storeu_ps(acc + 24, c3);
+}
+
+void panel_kernel_portable(const float* ap, std::size_t m, const float* bp,
+                           std::size_t kl, std::size_t nr, const float* bias,
+                           bool accumulate, float* c, std::size_t ldc) {
+  for (std::size_t i0 = 0; i0 < m; i0 += kMR, ap += kMR * kl) {
+    const std::size_t mr = std::min(kMR, m - i0);
+    float* ct = c + i0 * ldc;
+    float acc[kMR * kNR] = {};
+    if (accumulate) load_tile(ct, ldc, mr, nr, acc);
+    for (std::size_t p = 0; p < kl; ++p) {
+      const float* arow = ap + p * kMR;
+      const float* brow = bp + p * kNR;
+      for (std::size_t ii = 0; ii < kMR; ++ii) {
+        const float av = arow[ii];
+        for (std::size_t jj = 0; jj < kNR; ++jj) {
+          acc[ii * kNR + jj] += av * brow[jj];
+        }
+      }
+    }
+    store_tile(acc, mr, nr, bias == nullptr ? nullptr : bias + i0, ct, ldc);
+  }
+}
+
+#ifdef OSP_GEMM_X86_DISPATCH
+static_assert(kMR == 4 && kNR == 8, "AVX2 panel kernel assumes a 4x8 tile");
+__attribute__((target("avx2"))) void panel_kernel_avx2(
+    const float* ap, std::size_t m, const float* bp, std::size_t kl,
+    std::size_t nr, const float* bias, bool accumulate, float* c,
+    std::size_t ldc) {
+  alignas(32) float tile[kMR * kNR] = {};
+  for (std::size_t i0 = 0; i0 < m; i0 += kMR, ap += kMR * kl) {
+    const std::size_t mr = std::min(kMR, m - i0);
+    float* ct = c + i0 * ldc;
+    __m256 c0 = _mm256_setzero_ps(), c1 = c0, c2 = c0, c3 = c0;
+    if (accumulate) {
+      load_tile(ct, ldc, mr, nr, tile);
+      c0 = _mm256_load_ps(tile + 0);
+      c1 = _mm256_load_ps(tile + 8);
+      c2 = _mm256_load_ps(tile + 16);
+      c3 = _mm256_load_ps(tile + 24);
+    }
+    for (std::size_t p = 0; p < kl; ++p) {
+      const __m256 bv = _mm256_loadu_ps(bp + p * 8);
+      const float* arow = ap + p * 4;
+      c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_broadcast_ss(arow + 0), bv));
+      c1 = _mm256_add_ps(c1, _mm256_mul_ps(_mm256_broadcast_ss(arow + 1), bv));
+      c2 = _mm256_add_ps(c2, _mm256_mul_ps(_mm256_broadcast_ss(arow + 2), bv));
+      c3 = _mm256_add_ps(c3, _mm256_mul_ps(_mm256_broadcast_ss(arow + 3), bv));
+    }
+    const __m256 acc[kMR] = {c0, c1, c2, c3};
+    if (nr < kNR) {
+      for (std::size_t ii = 0; ii < kMR; ++ii) {
+        _mm256_store_ps(tile + ii * kNR, acc[ii]);
+      }
+      store_tile(tile, mr, nr, bias == nullptr ? nullptr : bias + i0, ct, ldc);
+      continue;
+    }
+    for (std::size_t ii = 0; ii < mr; ++ii) {
+      __m256 v = acc[ii];
+      if (bias != nullptr) {
+        v = _mm256_add_ps(v, _mm256_set1_ps(bias[i0 + ii]));
+      }
+      _mm256_storeu_ps(ct + ii * ldc, v);
+    }
+  }
 }
 #endif
 
-using MicroKernelFn = void (*)(const float* __restrict, const float* __restrict,
-                               std::size_t, float* __restrict);
+using PanelKernelFn = void (*)(const float*, std::size_t, const float*,
+                               std::size_t, std::size_t, const float*, bool,
+                               float*, std::size_t);
 
-MicroKernelFn pick_micro_kernel() {
+PanelKernelFn pick_panel_kernel() {
 #ifdef OSP_GEMM_X86_DISPATCH
-  if (__builtin_cpu_supports("avx2")) return micro_kernel_avx2;
+  if (__builtin_cpu_supports("avx2")) return panel_kernel_avx2;
 #endif
-  return micro_kernel_portable;
+  return panel_kernel_portable;
 }
 
-const MicroKernelFn g_micro_kernel = pick_micro_kernel();
+const PanelKernelFn g_panel_kernel = pick_panel_kernel();
 
-inline float a_elem(const float* a, std::size_t lda, Trans t, std::size_t i,
-                    std::size_t p) {
-  return t == Trans::N ? a[i * lda + p] : a[p * lda + i];
-}
-
-inline float b_elem(const float* b, std::size_t ldb, Trans t, std::size_t p,
-                    std::size_t j) {
-  return t == Trans::N ? b[p * ldb + j] : b[j * ldb + p];
-}
-
-/// Plain row-major output: C[i*ldc + j].
-struct RowMajorOut {
-  float* c;
-  std::size_t ldc;
-  float load(std::size_t i, std::size_t j) const { return c[i * ldc + j]; }
-  void store(std::size_t i, std::size_t j, float v) const {
-    c[i * ldc + j] = v;
-  }
-};
-
-/// Conv-forward epilogue: GEMM rows are (sample, patch) pairs and columns
-/// are output channels; the store scatters into NCHW layout with the bias
-/// fused in. Only valid for single-kc-panel runs (the driver is called with
-/// kc_max == k), so load() is never needed.
-struct ConvScatterOut {
-  float* out;
-  const float* bias;
-  std::size_t patches;
-  std::size_t out_c;
-  float load(std::size_t, std::size_t) const { return 0.0f; }
-  void store(std::size_t i, std::size_t j, float v) const {
-    const std::size_t b = i / patches;
-    const std::size_t p = i % patches;
-    out[(b * out_c + j) * patches + p] = v + bias[j];
-  }
-};
-
-template <class Epi>
+/// C[m,n] (row-major, leading dimension n) = op(A)·op(B), or += when
+/// `accumulate`.
 void gemm_blocked(std::size_t m, std::size_t n, std::size_t k, const float* a,
                   std::size_t lda, Trans ta, const float* b, std::size_t ldb,
-                  Trans tb, bool accumulate, std::size_t kc_max,
-                  const Epi& epi) {
+                  Trans tb, bool accumulate, float* c) {
   if (m == 0 || n == 0) return;
   if (k == 0) {
     if (!accumulate) {
       for (std::size_t i = 0; i < m; ++i) {
-        for (std::size_t j = 0; j < n; ++j) epi.store(i, j, 0.0f);
+        for (std::size_t j = 0; j < n; ++j) c[i * n + j] = 0.0f;
       }
     }
     return;
   }
+  // Element (i, p) of op(A) is a[i*a_rs + p*a_cs]; (p, j) of op(B) is
+  // b[p*b_rs + j*b_cs].
+  const std::size_t a_rs = ta == Trans::N ? lda : 1;
+  const std::size_t a_cs = ta == Trans::N ? 1 : lda;
+  const std::size_t b_rs = tb == Trans::N ? ldb : 1;
+  const std::size_t b_cs = tb == Trans::N ? 1 : ldb;
   thread_local std::vector<float> bpack;
   for (std::size_t jc = 0; jc < n; jc += kNC) {
     const std::size_t ncl = std::min(kNC, n - jc);
     const std::size_t npanels = (ncl + kNR - 1) / kNR;
-    for (std::size_t pc = 0; pc < k; pc += kc_max) {
-      const std::size_t kl = std::min(kc_max, k - pc);
+    for (std::size_t pc = 0; pc < k; pc += kKC) {
+      const std::size_t kl = std::min(kKC, k - pc);
       const bool first_panel = pc == 0;
       // Pack B once per (jc, pc) block; every M strip reuses it.
       bpack.resize(npanels * kl * kNR);
       for (std::size_t jp = 0; jp < npanels; ++jp) {
-        float* dst = bpack.data() + jp * kl * kNR;
         const std::size_t j0 = jc + jp * kNR;
-        const std::size_t nr = std::min(kNR, n - j0);
-        for (std::size_t p = 0; p < kl; ++p) {
-          for (std::size_t jj = 0; jj < kNR; ++jj) {
-            dst[p * kNR + jj] =
-                jj < nr ? b_elem(b, ldb, tb, pc + p, j0 + jj) : 0.0f;
-          }
-        }
+        pack_b_panel(b + pc * b_rs + j0 * b_cs, kl, std::min(kNR, n - j0),
+                     b_rs, b_cs, bpack.data() + jp * kl * kNR);
       }
       const std::size_t strips = (m + kMR - 1) / kMR;
       const std::size_t strip_flops = 2 * kMR * kl * ncl + 1;
@@ -193,33 +212,12 @@ void gemm_blocked(std::size_t m, std::size_t n, std::size_t k, const float* a,
             for (std::size_t s = s0; s < s1; ++s) {
               const std::size_t i0 = s * kMR;
               const std::size_t mr = std::min(kMR, m - i0);
-              for (std::size_t p = 0; p < kl; ++p) {
-                for (std::size_t ii = 0; ii < kMR; ++ii) {
-                  ap[p * kMR + ii] =
-                      ii < mr ? a_elem(a, lda, ta, i0 + ii, pc + p) : 0.0f;
-                }
-              }
+              pack_a_strips(a + i0 * a_rs + pc * a_cs, mr, kl, a_rs, a_cs, ap);
               for (std::size_t jp = 0; jp < npanels; ++jp) {
                 const std::size_t j0 = jc + jp * kNR;
-                const std::size_t nr = std::min(kNR, n - j0);
-                alignas(32) float acc[kMR * kNR];
-                if (first_panel && !accumulate) {
-                  for (float& v : acc) v = 0.0f;
-                } else {
-                  for (std::size_t ii = 0; ii < kMR; ++ii) {
-                    for (std::size_t jj = 0; jj < kNR; ++jj) {
-                      acc[ii * kNR + jj] = (ii < mr && jj < nr)
-                                               ? epi.load(i0 + ii, j0 + jj)
-                                               : 0.0f;
-                    }
-                  }
-                }
-                g_micro_kernel(ap, bpack_data + jp * kl * kNR, kl, acc);
-                for (std::size_t ii = 0; ii < mr; ++ii) {
-                  for (std::size_t jj = 0; jj < nr; ++jj) {
-                    epi.store(i0 + ii, j0 + jj, acc[ii * kNR + jj]);
-                  }
-                }
+                g_panel_kernel(ap, mr, bpack_data + jp * kl * kNR, kl,
+                               std::min(kNR, n - j0), nullptr,
+                               !first_panel || accumulate, c + i0 * n + j0, n);
               }
             }
           },
@@ -291,7 +289,7 @@ void matmul(const Tensor& a, const Tensor& b, Tensor& c) {
     return;
   }
   gemm_blocked(m, n, k, a.raw(), k, Trans::N, b.raw(), n, Trans::N,
-               /*accumulate=*/false, kKC, RowMajorOut{c.raw(), n});
+               /*accumulate=*/false, c.raw());
 }
 
 void matmul_tn(const Tensor& a, const Tensor& b, Tensor& c) {
@@ -307,7 +305,7 @@ void matmul_tn(const Tensor& a, const Tensor& b, Tensor& c) {
   }
   // C[k,n] = Aᵀ·B: the packed A accessor reads A transposed.
   gemm_blocked(k, n, m, a.raw(), k, Trans::T, b.raw(), n, Trans::N,
-               /*accumulate=*/false, kKC, RowMajorOut{c.raw(), n});
+               /*accumulate=*/false, c.raw());
 }
 
 void matmul_tn_acc(const Tensor& a, const Tensor& b, Tensor& c) {
@@ -322,35 +320,7 @@ void matmul_tn_acc(const Tensor& a, const Tensor& b, Tensor& c) {
     return;
   }
   gemm_blocked(k, n, m, a.raw(), k, Trans::T, b.raw(), n, Trans::N,
-               /*accumulate=*/true, kKC, RowMajorOut{c.raw(), n});
-}
-
-void matmul_tn_blocked_acc(const Tensor& a, const Tensor& b,
-                           std::size_t blocks, Tensor& c) {
-  check_matrix(a, "a");
-  check_matrix(b, "b");
-  OSP_CHECK(blocks > 0, "matmul_tn_blocked_acc needs blocks > 0");
-  const std::size_t m_all = a.dim(0), k = a.dim(1), n = b.dim(1);
-  OSP_CHECK(b.dim(0) == m_all, "matmul_tn_blocked_acc outer mismatch");
-  OSP_CHECK(m_all % blocks == 0, "matmul_tn_blocked_acc uneven blocks");
-  OSP_CHECK(c.rank() == 2 && c.dim(0) == k && c.dim(1) == n,
-            "matmul_tn_blocked_acc output shape mismatch");
-  const std::size_t rows = m_all / blocks;
-  static thread_local std::vector<float> scratch;
-  scratch.resize(k * n);
-  float* wg = scratch.data();
-  float* pc = c.raw();
-  for (std::size_t blk = 0; blk < blocks; ++blk) {
-    const float* pa = a.raw() + blk * rows * k;
-    const float* pb = b.raw() + blk * rows * n;
-    if (rows * n * k < kSmallGemmElems) {
-      matmul_tn_small(rows, k, n, pa, pb, wg, /*accumulate=*/false);
-    } else {
-      gemm_blocked(k, n, rows, pa, k, Trans::T, pb, n, Trans::N,
-                   /*accumulate=*/false, kKC, RowMajorOut{wg, n});
-    }
-    for (std::size_t i = 0; i < k * n; ++i) pc[i] += wg[i];
-  }
+               /*accumulate=*/true, c.raw());
 }
 
 void matmul_nt(const Tensor& a, const Tensor& b, Tensor& c) {
@@ -367,27 +337,35 @@ void matmul_nt(const Tensor& a, const Tensor& b, Tensor& c) {
   // C[m,n] = A·Bᵀ: the packed B accessor reads B transposed, turning the
   // unvectorizable dot-product loop into the shared panel kernel.
   gemm_blocked(m, n, k, a.raw(), k, Trans::N, b.raw(), k, Trans::T,
-               /*accumulate=*/false, kKC, RowMajorOut{c.raw(), n});
+               /*accumulate=*/false, c.raw());
 }
 
-void conv_forward_gemm(const Tensor& cols_all, const Tensor& weight,
-                       std::span<const float> bias, std::size_t batch,
-                       std::size_t patches, Tensor& out_nchw) {
-  check_matrix(cols_all, "cols_all");
-  check_matrix(weight, "weight");
-  const std::size_t m = cols_all.dim(0), k = cols_all.dim(1);
-  const std::size_t out_c = weight.dim(0);
-  OSP_CHECK(weight.dim(1) == k, "conv_forward_gemm patch length mismatch");
-  OSP_CHECK(m == batch * patches, "conv_forward_gemm row count mismatch");
-  OSP_CHECK(bias.size() == out_c, "conv_forward_gemm bias size mismatch");
-  OSP_CHECK(out_nchw.numel() == batch * out_c * patches,
-            "conv_forward_gemm output size mismatch");
-  OSP_CHECK(patches > 0, "conv_forward_gemm needs patches > 0");
-  // kc_max = k forces a single kc panel so the scatter epilogue (which
-  // cannot reload partial sums from the NCHW layout) sees final values.
-  gemm_blocked(m, out_c, k, cols_all.raw(), k, Trans::N, weight.raw(), k,
-               Trans::T, /*accumulate=*/false, std::max<std::size_t>(k, 1),
-               ConvScatterOut{out_nchw.raw(), bias.data(), patches, out_c});
+void pack_a_strips(const float* a, std::size_t rows, std::size_t k,
+                   std::size_t row_stride, std::size_t col_stride, float* dst) {
+  for (std::size_t r0 = 0; r0 < rows; r0 += kMR, dst += kMR * k) {
+    const std::size_t mr = std::min(kMR, rows - r0);
+    for (std::size_t p = 0; p < k; ++p) {
+      for (std::size_t i = 0; i < kMR; ++i) {
+        dst[p * kMR + i] =
+            i < mr ? a[(r0 + i) * row_stride + p * col_stride] : 0.0f;
+      }
+    }
+  }
+}
+
+void pack_b_panel(const float* b, std::size_t k, std::size_t nr,
+                  std::size_t row_stride, std::size_t col_stride, float* dst) {
+  for (std::size_t p = 0; p < k; ++p) {
+    for (std::size_t j = 0; j < kNR; ++j) {
+      dst[p * kNR + j] = j < nr ? b[p * row_stride + j * col_stride] : 0.0f;
+    }
+  }
+}
+
+void gemm_panel(const float* ap, std::size_t m, const float* bp,
+                std::size_t kl, std::size_t nr, const float* bias, float* c,
+                std::size_t ldc) {
+  g_panel_kernel(ap, m, bp, kl, nr, bias, /*accumulate=*/false, c, ldc);
 }
 
 void add_bias_rows(Tensor& x, std::span<const float> bias) {
@@ -486,87 +464,106 @@ void transpose(const Tensor& a, Tensor& b) {
       std::max<std::size_t>(1, (1u << 15) / std::max<std::size_t>(1, m * kBlock)));
 }
 
-void im2col(std::span<const float> image, const Conv2dGeom& g, Tensor& cols) {
-  OSP_CHECK(image.size() == g.in_channels * g.in_h * g.in_w,
-            "image size mismatch");
-  OSP_CHECK(g.kernel > 0 && g.stride > 0, "invalid conv geometry");
-  OSP_CHECK(g.in_h + 2 * g.pad >= g.kernel && g.in_w + 2 * g.pad >= g.kernel,
-            "kernel larger than padded input");
-  const std::size_t oh = g.out_h(), ow = g.out_w();
-  OSP_CHECK(cols.rank() == 2 && cols.dim(0) == oh * ow &&
-                cols.dim(1) == g.patch_len(),
-            "im2col output shape mismatch");
-  im2col_rows(image, g, cols.raw());
-}
+namespace {
 
-void im2col_rows(std::span<const float> image, const Conv2dGeom& g,
-                 float* cols) {
-  const std::size_t oh = g.out_h(), ow = g.out_w();
-  const std::size_t plen = g.patch_len();
-  for (std::size_t oy = 0; oy < oh; ++oy) {
-    for (std::size_t ox = 0; ox < ow; ++ox) {
-      float* patch = cols + (oy * ow + ox) * plen;
-      std::size_t idx = 0;
-      for (std::size_t ch = 0; ch < g.in_channels; ++ch) {
-        const float* chan = image.data() + ch * g.in_h * g.in_w;
-        for (std::size_t ky = 0; ky < g.kernel; ++ky) {
-          // Signed math: padding can take coordinates negative.
-          const long long iy = static_cast<long long>(oy * g.stride + ky) -
-                               static_cast<long long>(g.pad);
-          for (std::size_t kx = 0; kx < g.kernel; ++kx) {
-            const long long ix = static_cast<long long>(ox * g.stride + kx) -
-                                 static_cast<long long>(g.pad);
-            if (iy < 0 || ix < 0 || iy >= static_cast<long long>(g.in_h) ||
-                ix >= static_cast<long long>(g.in_w)) {
-              patch[idx++] = 0.0f;
-            } else {
-              patch[idx++] = chan[static_cast<std::size_t>(iy) * g.in_w +
-                                  static_cast<std::size_t>(ix)];
-            }
-          }
-        }
-      }
+/// dst[r*kNR + j] = src[idx[r*idx_stride + j]] for r < rows: the kNR-wide
+/// row copy every ConvGather pack is made of.
+void gather_rows(const float* __restrict src,
+                 const std::int32_t* __restrict idx, std::size_t idx_stride,
+                 std::size_t rows, float* __restrict dst) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t j = 0; j < kNR; ++j) {
+      dst[r * kNR + j] = src[idx[r * idx_stride + j]];
     }
   }
 }
 
-void col2im(const Tensor& cols, const Conv2dGeom& g, std::span<float> image) {
-  OSP_CHECK(image.size() == g.in_channels * g.in_h * g.in_w,
-            "image size mismatch");
-  const std::size_t oh = g.out_h(), ow = g.out_w();
-  OSP_CHECK(cols.rank() == 2 && cols.dim(0) == oh * ow &&
-                cols.dim(1) == g.patch_len(),
-            "col2im input shape mismatch");
-  col2im_rows(cols.raw(), g, image);
+std::size_t round_up(std::size_t n, std::size_t m) {
+  return (n + m - 1) / m * m;
 }
 
-void col2im_rows(const float* cols, const Conv2dGeom& g,
-                 std::span<float> image) {
-  const std::size_t oh = g.out_h(), ow = g.out_w();
-  const std::size_t plen = g.patch_len();
-  for (std::size_t oy = 0; oy < oh; ++oy) {
-    for (std::size_t ox = 0; ox < ow; ++ox) {
-      const float* patch = cols + (oy * ow + ox) * plen;
-      std::size_t idx = 0;
-      for (std::size_t ch = 0; ch < g.in_channels; ++ch) {
-        float* chan = image.data() + ch * g.in_h * g.in_w;
-        for (std::size_t ky = 0; ky < g.kernel; ++ky) {
-          const long long iy = static_cast<long long>(oy * g.stride + ky) -
-                               static_cast<long long>(g.pad);
-          for (std::size_t kx = 0; kx < g.kernel; ++kx) {
-            const long long ix = static_cast<long long>(ox * g.stride + kx) -
-                                 static_cast<long long>(g.pad);
-            const float v = patch[idx++];
-            if (iy < 0 || ix < 0 || iy >= static_cast<long long>(g.in_h) ||
-                ix >= static_cast<long long>(g.in_w)) {
-              continue;
-            }
-            chan[static_cast<std::size_t>(iy) * g.in_w +
-                 static_cast<std::size_t>(ix)] += v;
+/// `g`, once checked to describe a window that fits the padded input.
+const Conv2dGeom& validated(const Conv2dGeom& g) {
+  OSP_CHECK(g.kernel > 0 && g.stride > 0, "invalid conv geometry");
+  OSP_CHECK(g.in_h + 2 * g.pad >= g.kernel && g.in_w + 2 * g.pad >= g.kernel,
+            "kernel larger than padded input");
+  return g;
+}
+
+}  // namespace
+
+ConvGather::ConvGather(const Conv2dGeom& g)
+    : image_(validated(g).in_channels * g.in_h * g.in_w),
+      patches_(g.patches()),
+      patch_len_(g.patch_len()),
+      ld_(round_up(g.patches(), kNR)),
+      xt_ld_(round_up(g.patch_len(), kNR)) {
+  OSP_CHECK(xt_ld_ * ld_ <= std::numeric_limits<std::int32_t>::max() &&
+                image_ < std::numeric_limits<std::int32_t>::max(),
+            "conv geometry exceeds int32 gather offsets");
+  const std::size_t ow = g.out_w();
+  const auto zero_slot = static_cast<std::int32_t>(image_);
+  x_idx_.assign(patch_len_ * ld_, zero_slot);
+  xt_idx_.assign(patches_ * xt_ld_, zero_slot);
+  col2im_start_.assign(image_ + 1, 0);
+  // Signed math: padding can take coordinates negative.
+  const auto pad = static_cast<long long>(g.pad);
+  for (std::size_t p = 0; p < patches_; ++p) {
+    const auto y0 = static_cast<long long>((p / ow) * g.stride) - pad;
+    const auto x0 = static_cast<long long>((p % ow) * g.stride) - pad;
+    std::size_t k = 0;
+    for (std::size_t c = 0; c < g.in_channels; ++c) {
+      for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+        for (std::size_t kx = 0; kx < g.kernel; ++kx, ++k) {
+          const long long iy = y0 + static_cast<long long>(ky);
+          const long long ix = x0 + static_cast<long long>(kx);
+          if (iy < 0 || ix < 0 || iy >= static_cast<long long>(g.in_h) ||
+              ix >= static_cast<long long>(g.in_w)) {
+            continue;
           }
+          const std::size_t pix = (c * g.in_h + static_cast<std::size_t>(iy)) *
+                                      g.in_w +
+                                  static_cast<std::size_t>(ix);
+          x_idx_[k * ld_ + p] = static_cast<std::int32_t>(pix);
+          xt_idx_[p * xt_ld_ + k] = static_cast<std::int32_t>(pix);
+          ++col2im_start_[pix + 1];
         }
       }
     }
+  }
+  for (std::size_t i = 0; i < image_; ++i) {
+    col2im_start_[i + 1] += col2im_start_[i];
+  }
+  // Visiting p in ascending order lists each pixel's sources in the order
+  // a scatter-add col2im adds them.
+  col2im_src_.resize(static_cast<std::size_t>(col2im_start_[image_]));
+  std::vector<std::int32_t> cursor(col2im_start_.begin(),
+                                   col2im_start_.end() - 1);
+  for (std::size_t p = 0; p < patches_; ++p) {
+    for (std::size_t k = 0; k < patch_len_; ++k) {
+      const std::int32_t pix = xt_idx_[p * xt_ld_ + k];
+      if (pix == zero_slot) continue;
+      col2im_src_[static_cast<std::size_t>(cursor[pix]++)] =
+          static_cast<std::int32_t>(k * ld_ + p);
+    }
+  }
+}
+
+void ConvGather::pack_x(const float* src, std::size_t p0, float* bp) const {
+  gather_rows(src, x_idx_.data() + p0, ld_, patch_len_, bp);
+}
+
+void ConvGather::pack_xt(const float* src, std::size_t k0, float* bp) const {
+  gather_rows(src, xt_idx_.data() + k0, xt_ld_, patches_, bp);
+}
+
+void ConvGather::col2im(const float* dx, float* image) const {
+  const std::int32_t* start = col2im_start_.data();
+  const std::int32_t* src = col2im_src_.data();
+  for (std::size_t i = 0; i < image_; ++i) {
+    float sum = 0.0f;
+    for (std::int32_t e = start[i]; e < start[i + 1]; ++e) sum += dx[src[e]];
+    image[i] = sum;
   }
 }
 

@@ -1,5 +1,6 @@
 // Tensor kernels: cache-blocked register-tiled matmul, transpose variants,
-// elementwise ops, row softmax, and im2col/col2im for convolution.
+// elementwise ops, row softmax, and the panel kernel and gather tables of
+// nn::Conv2d's implicit-GEMM convolution.
 //
 // Matmul comes in the three orientations backprop needs:
 //   matmul:    C = A·B        (forward)
@@ -12,7 +13,9 @@
 // across thread counts and blocking parameters.
 #pragma once
 
+#include <cstdint>
 #include <span>
+#include <vector>
 
 #include "tensor/tensor.hpp"
 
@@ -30,15 +33,6 @@ void matmul_nt(const Tensor& a, const Tensor& b, Tensor& c);
 /// C += Aᵀ·B (accumulating matmul_tn; the GEMM adds straight into the
 /// destination instead of materializing a temporary).
 void matmul_tn_acc(const Tensor& a, const Tensor& b, Tensor& c);
-
-/// Block-wise accumulating Aᵀ·B: A and B are `blocks` stacked row blocks
-/// ([blocks*rows, k] and [blocks*rows, n]); for each block
-/// C += A_blockᵀ·B_block. Each block's product is materialized with a
-/// fresh accumulator and then added to C — the exact float grouping of a
-/// per-sample loop. Conv2d's weight gradient uses this so the batched
-/// implementation stays bit-identical to the per-sample one it replaced.
-void matmul_tn_blocked_acc(const Tensor& a, const Tensor& b,
-                           std::size_t blocks, Tensor& c);
 
 /// out[r] = in[r] + bias for every row of a rank-2 tensor (in place).
 void add_bias_rows(Tensor& x, std::span<const float> bias);
@@ -60,6 +54,41 @@ void softmax_rows(const Tensor& x, Tensor& out);
 /// B[n,m] = Aᵀ for rank-2 A[m,n].
 void transpose(const Tensor& a, Tensor& b);
 
+/// Packed GEMM operands, shared by the blocked matmul above and kernels
+/// that pack their own operands (nn::Conv2d gathers its B panels straight
+/// from the image). A is packed into k-major strips of kGemmMR rows, B into
+/// k-major panels kGemmNR columns wide; rows and columns past the matrix
+/// read 0.
+inline constexpr std::size_t kGemmMR = 4;
+inline constexpr std::size_t kGemmNR = 8;
+
+/// Floats pack_a_strips writes for a rows×k matrix.
+[[nodiscard]] constexpr std::size_t packed_a_size(std::size_t rows,
+                                                  std::size_t k) {
+  return (rows + kGemmMR - 1) / kGemmMR * kGemmMR * k;
+}
+
+/// Packs the rows×k matrix whose element (i, p) is a[i·row_stride +
+/// p·col_stride] into ⌈rows/kGemmMR⌉ strips; strip s starts at
+/// dst + s·kGemmMR·k and holds element (s·kGemmMR + i, p) at p·kGemmMR + i.
+void pack_a_strips(const float* a, std::size_t rows, std::size_t k,
+                   std::size_t row_stride, std::size_t col_stride, float* dst);
+
+/// Packs the k×nr matrix (nr ≤ kGemmNR) whose element (p, j) is
+/// b[p·row_stride + j·col_stride] into one panel: dst[p·kGemmNR + j].
+void pack_b_panel(const float* b, std::size_t k, std::size_t nr,
+                  std::size_t row_stride, std::size_t col_stride, float* dst);
+
+/// One packed B panel `bp` (kl×kGemmNR) against the packed A strips `ap` of
+/// an m×kl matrix. Writes
+///   c[i·ldc + j] = Σ_p A[i, p]·B[p, j]  (+ bias[i] when bias is non-null)
+/// for i < m and j < nr ≤ kGemmNR. Each sum starts at 0 and adds its terms
+/// in ascending p, one IEEE multiply then one add per term (never fused),
+/// exactly as every matmul above accumulates; the bias is added last.
+void gemm_panel(const float* ap, std::size_t m, const float* bp,
+                std::size_t kl, std::size_t nr, const float* bias, float* c,
+                std::size_t ldc);
+
 /// Parameters describing a conv/pool window.
 struct Conv2dGeom {
   std::size_t in_channels = 0;
@@ -75,39 +104,56 @@ struct Conv2dGeom {
   [[nodiscard]] std::size_t out_w() const {
     return (in_w + 2 * pad - kernel) / stride + 1;
   }
-  /// Rows of the im2col matrix per image: out_h*out_w.
+  /// Output positions per image: out_h*out_w.
   [[nodiscard]] std::size_t patches() const { return out_h() * out_w(); }
-  /// Columns of the im2col matrix: C*k*k.
+  /// Inputs one output position reads: C*k*k.
   [[nodiscard]] std::size_t patch_len() const {
     return in_channels * kernel * kernel;
   }
 };
 
-/// Expand one image (C,H,W flat span) into the im2col matrix
-/// [patches, patch_len]. Out-of-bounds (padding) reads as 0.
-void im2col(std::span<const float> image, const Conv2dGeom& g, Tensor& cols);
+/// Implicit im2col for one conv geometry (indirect convolution, Dukhan
+/// 2019, arXiv:1907.02129). X[patch_len, patches] is the im2col matrix of
+/// one image, X[(c·k + ky)·k + kx, oy·out_w + ox] = image[c, oy·stride + ky
+/// − pad, ox·stride + kx − pad]. It is never materialized: int32 tables
+/// built once pack GEMM B panels of X or Xᵀ straight from the image, and a
+/// CSR table runs col2im as a gather.
+///
+/// A pack reads one sample laid out as its C·H·W image followed by a zero
+/// slot (`source_stride()` floats); padding and the lanes past the last
+/// row or column of X read that slot, so no pack branches.
+class ConvGather {
+ public:
+  explicit ConvGather(const Conv2dGeom& g);
 
-/// im2col writing into a raw row block (one sample's [patches, patch_len]
-/// slice of a batched scratch matrix). No shape checks; callers guarantee
-/// `cols` has room for patches()*patch_len() floats.
-void im2col_rows(std::span<const float> image, const Conv2dGeom& g,
-                 float* cols);
+  [[nodiscard]] std::size_t source_stride() const { return image_ + 1; }
+  /// Leading dimension of the dX matrix col2im reads: patches rounded up
+  /// to kGemmNR.
+  [[nodiscard]] std::size_t ld() const { return ld_; }
 
-/// Scatter-add the column matrix back into an image gradient (+=).
-void col2im(const Tensor& cols, const Conv2dGeom& g, std::span<float> image);
+  /// bp[k·kGemmNR + j] = X[k, p0 + j] for every k < patch_len: the B panel
+  /// of kGemmNR output positions for W·X.
+  void pack_x(const float* src, std::size_t p0, float* bp) const;
 
-/// col2im from a raw row block (one sample's slice of a batched matrix).
-void col2im_rows(const float* cols, const Conv2dGeom& g,
-                 std::span<float> image);
+  /// bp[p·kGemmNR + j] = X[k0 + j, p] for every p < patches: the B panel of
+  /// kGemmNR rows of X for G·Xᵀ.
+  void pack_xt(const float* src, std::size_t k0, float* bp) const;
 
-/// Batched conv-forward GEMM with fused epilogue. `cols_all` holds every
-/// sample's im2col rows back-to-back ([batch*patches, patch_len]), `weight`
-/// is [out_c, patch_len]. Computes cols·weightᵀ and scatters the result
-/// into `out_nchw` ([batch, out_c, oh, ow]) with `bias` added — the NCHW
-/// transpose+bias pass lives inside the GEMM's store epilogue instead of a
-/// separate sweep over the output.
-void conv_forward_gemm(const Tensor& cols_all, const Tensor& weight,
-                       std::span<const float> bias, std::size_t batch,
-                       std::size_t patches, Tensor& out_nchw);
+  /// image[i] = Σ dx[k·ld() + p] over every (k, p) whose X[k, p] reads
+  /// pixel i, summed from 0 in ascending p: the float order of a
+  /// scatter-add col2im into a zeroed image. Writes every pixel.
+  void col2im(const float* dx, float* image) const;
+
+ private:
+  std::size_t image_;  // C·H·W
+  std::size_t patches_;
+  std::size_t patch_len_;
+  std::size_t ld_;     // patches rounded up to kGemmNR
+  std::size_t xt_ld_;  // patch_len rounded up to kGemmNR
+  std::vector<std::int32_t> x_idx_;   // [patch_len_, ld_]
+  std::vector<std::int32_t> xt_idx_;  // [patches_, xt_ld_]
+  std::vector<std::int32_t> col2im_start_;  // CSR row starts, image_ + 1
+  std::vector<std::int32_t> col2im_src_;    // offsets into dx
+};
 
 }  // namespace osp::tensor

@@ -1,7 +1,7 @@
 // Runtime SIMD dispatch for the gradient wire-path kernels.
 //
 // Four tiers — scalar, AVX2, AVX2+FMA, AVX-512 — selected once at startup
-// via __builtin_cpu_supports (the same mechanism as the GEMM micro-kernel
+// via __builtin_cpu_supports (the same mechanism as the GEMM panel kernel
 // in src/tensor/ops.cpp), overridable with the OSP_SIMD_TIER environment
 // variable ("scalar" | "avx2" | "avx2fma" | "avx512", clamped to what the
 // CPU supports) and force-able from tests via force_tier().

@@ -34,6 +34,10 @@ void TaskState::run() {
   const bool was_in_task = t_in_tracked_task;
   t_in_tracked_task = true;
   fn();
+  // Drop the callable's captures now: a task that captures the object
+  // owning its own TaskHandle (the engine's MathJob) would otherwise form
+  // a reference cycle through this state and never be freed.
+  fn = nullptr;
   t_in_tracked_task = was_in_task;
   if (tracked != nullptr) {
     tracked->fetch_sub(1, std::memory_order_relaxed);

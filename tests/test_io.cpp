@@ -285,6 +285,15 @@ TEST(KvWire, VersionSkewRejected) {
   EXPECT_THROW((void)kv::deserialize(bytes), util::CheckError);
 }
 
+TEST(KvWire, SerializeRejectsSupportOutsideDenseValues) {
+  // Compacting on the fly reads values[i] for every support index i, so an
+  // index past the dense values must be refused, not read.
+  kv::KvMessage m = sample_kv_message();
+  m.sparse = true;
+  m.indices = {2, 99};
+  EXPECT_THROW((void)kv::serialize(m), util::CheckError);
+}
+
 TEST(KvWire, StructurallyInvalidPayloadsRejected) {
   // serialize() writes whatever it is given; deserialize() must catch
   // the structural lies even when the envelope (magic/CRC) is intact.
@@ -299,9 +308,12 @@ TEST(KvWire, StructurallyInvalidPayloadsRejected) {
     EXPECT_THROW((void)kv::deserialize(kv::serialize(m)), util::CheckError);
   }
   {
+    // Already compact, so serialize() ships the bad index unexamined.
     kv::KvMessage m = sample_kv_message();
     m.sparse = true;
+    m.compact = true;
     m.indices = {2, 99};  // out of bounds of dense_numel
+    m.values = {0.0f, 2.0f};
     EXPECT_THROW((void)kv::deserialize(kv::serialize(m)), util::CheckError);
   }
   {

@@ -1,11 +1,14 @@
 // Gradient-correctness tests: every layer's backward() is verified against
 // central finite differences of its forward(), for both input gradients and
 // parameter gradients. A weighted-sum readout makes the scalar loss.
+// Conv2d is also pinned bitwise to the explicit im2col + straight-loop
+// GEMM formulation it replaced.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 
 #include "nn/activations.hpp"
 #include "nn/attention.hpp"
@@ -16,6 +19,7 @@
 #include "nn/sequential.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace osp::nn {
 namespace {
@@ -155,6 +159,22 @@ TEST(ReluLayer, ZeroesNegatives) {
   EXPECT_FLOAT_EQ(out[2], 2.0f);
 }
 
+TEST(ReluLayer, BackwardMasksByInputSign) {
+  // Gradient passes where the input is positive or NaN (a NaN compares
+  // false against 0) and is zeroed at 0, -0 and below.
+  ReLU layer("relu");
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Tensor in = Tensor::from({-2.0f, -0.0f, 0.0f, 1e-30f, 3.0f, nan});
+  in.reshape({1, 6});
+  (void)layer.forward(in, true);
+  Tensor g = Tensor::from({5.0f, 5.0f, 5.0f, 5.0f, -7.0f, 9.0f});
+  g.reshape({1, 6});
+  const Tensor dx = layer.backward(g);
+  const float want[] = {0.0f, 0.0f, 0.0f, 5.0f, -7.0f, 9.0f};
+  for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(dx[i], want[i]) << i;
+  EXPECT_FALSE(std::signbit(dx[0]));  // zeroed to +0
+}
+
 TEST(TanhLayer, Gradients) {
   util::Rng rng(5);
   Tanh layer("tanh");
@@ -187,7 +207,7 @@ TEST(Conv2dLayer, OutputShape) {
 }
 
 TEST(Conv2dLayer, ForwardMatchesDirectConvolution) {
-  // The im2col+GEMM pipeline against a direct 7-loop convolution.
+  // The implicit-GEMM forward against a direct 7-loop convolution.
   util::Rng rng(91);
   const std::size_t B = 2, C = 3, H = 6, W = 5, OC = 4, K = 3;
   const std::size_t stride = 1, pad = 1;
@@ -273,6 +293,189 @@ TEST(Conv2dLayer, BatchedMatchesPerSampleBitwise) {
                           pb[i].grad->numel() * sizeof(float)),
               0)
         << "gradient " << pb[i].name << " diverged from per-sample";
+  }
+}
+
+// ------------------------------------------------------- conv reference
+// The explicit im2col + straight-loop GEMM formulation that Conv2d's
+// implicit GEMM replaced, kept as its bitwise oracle: every product and
+// every sum in the same order.
+
+/// One image (C,H,W) into its im2col rows [patches, patch_len]; padding
+/// reads as 0.
+void ref_im2col(const float* image, const tensor::Conv2dGeom& g,
+                float* cols) {
+  const std::size_t oh = g.out_h(), ow = g.out_w();
+  const std::size_t plen = g.patch_len();
+  for (std::size_t oy = 0; oy < oh; ++oy) {
+    for (std::size_t ox = 0; ox < ow; ++ox) {
+      float* patch = cols + (oy * ow + ox) * plen;
+      std::size_t idx = 0;
+      for (std::size_t ch = 0; ch < g.in_channels; ++ch) {
+        const float* chan = image + ch * g.in_h * g.in_w;
+        for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+          const long long iy = static_cast<long long>(oy * g.stride + ky) -
+                               static_cast<long long>(g.pad);
+          for (std::size_t kx = 0; kx < g.kernel; ++kx) {
+            const long long ix = static_cast<long long>(ox * g.stride + kx) -
+                                 static_cast<long long>(g.pad);
+            if (iy < 0 || ix < 0 || iy >= static_cast<long long>(g.in_h) ||
+                ix >= static_cast<long long>(g.in_w)) {
+              patch[idx++] = 0.0f;
+            } else {
+              patch[idx++] = chan[static_cast<std::size_t>(iy) * g.in_w +
+                                  static_cast<std::size_t>(ix)];
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Scatter-adds im2col rows back into an image gradient (+=).
+void ref_col2im(const float* cols, const tensor::Conv2dGeom& g,
+                float* image) {
+  const std::size_t oh = g.out_h(), ow = g.out_w();
+  const std::size_t plen = g.patch_len();
+  for (std::size_t oy = 0; oy < oh; ++oy) {
+    for (std::size_t ox = 0; ox < ow; ++ox) {
+      const float* patch = cols + (oy * ow + ox) * plen;
+      std::size_t idx = 0;
+      for (std::size_t ch = 0; ch < g.in_channels; ++ch) {
+        float* chan = image + ch * g.in_h * g.in_w;
+        for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+          const long long iy = static_cast<long long>(oy * g.stride + ky) -
+                               static_cast<long long>(g.pad);
+          for (std::size_t kx = 0; kx < g.kernel; ++kx) {
+            const long long ix = static_cast<long long>(ox * g.stride + kx) -
+                                 static_cast<long long>(g.pad);
+            const float v = patch[idx++];
+            if (iy < 0 || ix < 0 || iy >= static_cast<long long>(g.in_h) ||
+                ix >= static_cast<long long>(g.in_w)) {
+              continue;
+            }
+            chan[static_cast<std::size_t>(iy) * g.in_w +
+                 static_cast<std::size_t>(ix)] += v;
+          }
+        }
+      }
+    }
+  }
+}
+
+struct ConvResult {
+  Tensor out, dx, wgrad, bgrad;
+};
+
+/// Forward + backward by explicit im2col and straight loops. `wgrad` and
+/// `bgrad` start from the given values and accumulate, as a layer does.
+ConvResult reference_conv(const tensor::Conv2dGeom& g, const Tensor& x,
+                          const Tensor& w, const Tensor& bias,
+                          const Tensor& gout, Tensor wgrad, Tensor bgrad) {
+  const std::size_t batch = x.dim(0), oc = w.dim(0);
+  const std::size_t patches = g.patches(), plen = g.patch_len();
+  const std::size_t img = g.in_channels * g.in_h * g.in_w;
+  ConvResult r{Tensor({batch, oc, g.out_h(), g.out_w()}), Tensor(x.shape()),
+               std::move(wgrad), std::move(bgrad)};
+  std::vector<float> cols(patches * plen), dcols(patches * plen);
+  std::vector<float> wg(oc * plen);
+  for (std::size_t b = 0; b < batch; ++b) {
+    ref_im2col(x.raw() + b * img, g, cols.data());
+    const float* gb = gout.raw() + b * oc * patches;
+    // out = cols · Wᵀ + bias
+    for (std::size_t p = 0; p < patches; ++p) {
+      for (std::size_t o = 0; o < oc; ++o) {
+        float s = 0.0f;
+        for (std::size_t k = 0; k < plen; ++k) {
+          s += cols[p * plen + k] * w[o * plen + k];
+        }
+        r.out[(b * oc + o) * patches + p] = s + bias[o];
+      }
+    }
+    // dW_b = G_bᵀ · cols from a fresh accumulator, added in batch order.
+    for (std::size_t o = 0; o < oc; ++o) {
+      for (std::size_t k = 0; k < plen; ++k) {
+        float s = 0.0f;
+        for (std::size_t p = 0; p < patches; ++p) {
+          s += gb[o * patches + p] * cols[p * plen + k];
+        }
+        wg[o * plen + k] = s;
+      }
+    }
+    for (std::size_t i = 0; i < wg.size(); ++i) r.wgrad[i] += wg[i];
+    // db accumulates over (sample, position).
+    for (std::size_t p = 0; p < patches; ++p) {
+      for (std::size_t o = 0; o < oc; ++o) r.bgrad[o] += gb[o * patches + p];
+    }
+    // dcols = G_b · W, scattered back into the zeroed image gradient.
+    for (std::size_t p = 0; p < patches; ++p) {
+      for (std::size_t k = 0; k < plen; ++k) {
+        float s = 0.0f;
+        for (std::size_t o = 0; o < oc; ++o) {
+          s += gb[o * patches + p] * w[o * plen + k];
+        }
+        dcols[p * plen + k] = s;
+      }
+    }
+    ref_col2im(dcols.data(), g, r.dx.raw() + b * img);
+  }
+  return r;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.raw(), b.raw(), a.numel() * sizeof(float)) == 0;
+}
+
+TEST(Conv2dLayer, BitwiseEqualToIm2colReference) {
+  struct Case {
+    const char* name;
+    std::size_t c, h, w, oc, k, stride, pad;
+  };
+  const Case cases[] = {
+      {"stride 2, no padding", 3, 9, 9, 5, 3, 2, 0},
+      {"1x1 kernel", 6, 5, 5, 8, 1, 1, 0},
+      {"7x7 outputs", 2, 7, 7, 6, 3, 1, 1},
+      {"out_c 7", 4, 6, 6, 7, 3, 1, 1},
+      {"patch_len 576", 64, 5, 5, 9, 3, 1, 1},
+      {"5x5 kernel, stride 3, 8x11 input", 3, 8, 11, 4, 5, 3, 2},
+  };
+  for (const Case& c : cases) {
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{3}}) {
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        util::ThreadPool pool(threads);
+        util::ThreadPool::ScopedGlobal guard(pool);
+        util::Rng rng(100 + batch);
+        Conv2d layer("conv", c.c, c.oc, c.h, c.w, c.k, c.stride, c.pad, rng);
+        // A nonzero bias, and gradients that already hold a value: the
+        // layer must accumulate into them exactly as the reference does.
+        auto params = layer.params();
+        for (float& v : params[1].value->data()) {
+          v = static_cast<float>(rng.normal());
+        }
+        for (ParamRef& p : params) {
+          for (float& v : p.grad->data()) v = static_cast<float>(rng.normal());
+        }
+        const Tensor x = random_input({batch, c.c, c.h, c.w}, rng);
+        const tensor::Conv2dGeom& g = layer.geometry();
+        const Tensor gout =
+            random_input({batch, c.oc, g.out_h(), g.out_w()}, rng);
+        const ConvResult want =
+            reference_conv(g, x, *params[0].value, *params[1].value, gout,
+                           *params[0].grad, *params[1].grad);
+
+        const Tensor out = layer.forward(x, true);
+        const Tensor dx = layer.backward(gout);
+        const std::string where = std::string(c.name) + ", batch " +
+                                  std::to_string(batch) + ", " +
+                                  std::to_string(threads) + " threads";
+        EXPECT_TRUE(same_bits(out, want.out)) << "output: " << where;
+        EXPECT_TRUE(same_bits(dx, want.dx)) << "dx: " << where;
+        EXPECT_TRUE(same_bits(*params[0].grad, want.wgrad)) << "dW: " << where;
+        EXPECT_TRUE(same_bits(*params[1].grad, want.bgrad)) << "db: " << where;
+      }
+    }
   }
 }
 

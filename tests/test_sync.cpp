@@ -403,6 +403,7 @@ struct GoldenCase {
   std::string tag;
   std::function<std::unique_ptr<runtime::SyncModel>()> make;
   runtime::EngineConfig cfg;
+  std::function<runtime::WorkloadSpec()> spec = models::tiny_mlp;
 };
 
 runtime::EngineConfig golden_cfg(std::size_t num_ps = 1) {
@@ -482,6 +483,14 @@ std::vector<GoldenCase> golden_cases() {
                      return std::make_unique<core::OspSync>(opt);
                    },
                    golden_cfg(/*num_ps=*/2)});
+  // The only row with conv layers: pins Conv2d forward/backward, ReLU and
+  // max-pooling through a real OSP run.
+  runtime::EngineConfig conv_cfg = golden_cfg();
+  conv_cfg.num_workers = 2;
+  conv_cfg.max_epochs = 1;
+  cases.push_back({"osp_resnet50_proxy",
+                   [] { return std::make_unique<core::OspSync>(); }, conv_cfg,
+                   models::resnet50_cifar10});
   return cases;
 }
 
@@ -493,7 +502,7 @@ struct GoldenHashes {
 GoldenHashes run_golden_case(const GoldenCase& c, std::size_t threads) {
   util::ThreadPool pool(threads);
   util::ThreadPool::ScopedGlobal guard(pool);
-  const runtime::WorkloadSpec spec = models::tiny_mlp();
+  const runtime::WorkloadSpec spec = c.spec();
   auto sync = c.make();
   runtime::Engine engine(spec, c.cfg, *sync);
   const runtime::RunResult result = engine.run();

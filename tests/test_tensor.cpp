@@ -1,9 +1,11 @@
 // Tensor library tests: shapes, access, matmul orientations against naive
-// references, im2col/col2im adjointness, softmax, and initializers.
+// references, the conv gather (implicit im2col) and its col2im adjoint, the
+// packed panel kernel, softmax, and initializers.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <tuple>
 
 #include "tensor/init.hpp"
 #include "tensor/ops.hpp"
@@ -176,40 +178,88 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(31, 520, 17)));
 
 TEST(Ops, MatmulTnAccAccumulatesIntoC) {
+  // Each C element continues from its old value and adds its terms in
+  // ascending order, bit for bit, on the straight-loop path (30x7x11), on
+  // the blocked path with partial tiles (130x37x45), and across the
+  // 512-deep kc panel (600x9x10).
   util::Rng rng(61);
-  const Tensor a = random_matrix(30, 7, rng);
-  const Tensor b = random_matrix(30, 11, rng);
-  Tensor fresh({7, 11});
-  matmul_tn(a, b, fresh);
-  Tensor acc({7, 11}, 1.5f);
-  matmul_tn_acc(a, b, acc);
-  for (std::size_t i = 0; i < acc.numel(); ++i) {
-    EXPECT_NEAR(acc[i], fresh[i] + 1.5f, 1e-5f);
+  for (const auto& [m, k, n] :
+       {std::tuple<std::size_t, std::size_t, std::size_t>{30, 7, 11},
+        {130, 37, 45},
+        {600, 9, 10}}) {
+    const Tensor a = random_matrix(m, k, rng);
+    const Tensor b = random_matrix(m, n, rng);
+    Tensor acc({k, n}, 1.5f);
+    matmul_tn_acc(a, b, acc);
+    for (std::size_t i = 0; i < k; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        float want = 1.5f;
+        for (std::size_t p = 0; p < m; ++p) want += a.at(p, i) * b.at(p, j);
+        const float got = acc.at(i, j);
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
+            << m << "x" << k << "x" << n << " at " << i << "," << j;
+      }
+    }
   }
 }
 
-TEST(Ops, MatmulTnBlockedAccMatchesPerSampleGrouping) {
-  // The batched call must reproduce the per-sample loop exactly: each
-  // block's product from a fresh accumulator, added to C in block order.
+TEST(Ops, GemmPanelMatchesMatmulBitwise) {
+  // One packed B panel against packed A strips must reproduce matmul's
+  // accumulation exactly, including partial strips (m % 4 != 0), partial
+  // panels (nr < 8), a row stride wider than nr, and the fused bias.
   util::Rng rng(62);
-  const std::size_t blocks = 3, rows = 40, k = 6, n = 9;
-  const Tensor a = random_matrix(blocks * rows, k, rng);
-  const Tensor b = random_matrix(blocks * rows, n, rng);
-  Tensor batched({k, n}, 0.25f);
-  matmul_tn_blocked_acc(a, b, blocks, batched);
+  for (const std::size_t m :
+       {std::size_t{1}, std::size_t{7}, std::size_t{12}}) {
+    for (const std::size_t nr : {std::size_t{3}, kGemmNR}) {
+      const std::size_t k = 37;
+      const Tensor a = random_matrix(m, k, rng);
+      const Tensor b = random_matrix(k, nr, rng);
+      const Tensor bias = random_matrix(1, m, rng);
+      Tensor expect({m, nr});
+      matmul(a, b, expect);
 
-  Tensor expected({k, n}, 0.25f);
-  for (std::size_t blk = 0; blk < blocks; ++blk) {
-    Tensor ab({rows, k}), bb({rows, n});
-    std::memcpy(ab.raw(), a.raw() + blk * rows * k, rows * k * sizeof(float));
-    std::memcpy(bb.raw(), b.raw() + blk * rows * n, rows * n * sizeof(float));
-    Tensor wg({k, n});
-    matmul_tn(ab, bb, wg);
-    for (std::size_t i = 0; i < wg.numel(); ++i) expected.raw()[i] += wg[i];
+      const std::size_t strips = (m + kGemmMR - 1) / kGemmMR;
+      std::vector<float> ap(strips * kGemmMR * k, 0.0f);
+      for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t p = 0; p < k; ++p) {
+          ap[(i / kGemmMR) * kGemmMR * k + p * kGemmMR + i % kGemmMR] =
+              a.at(i, p);
+        }
+      }
+      std::vector<float> bp(k * kGemmNR, 0.0f);
+      for (std::size_t p = 0; p < k; ++p) {
+        for (std::size_t j = 0; j < nr; ++j) bp[p * kGemmNR + j] = b.at(p, j);
+      }
+      // The exported packers produce the same layout, also when they read
+      // the operand transposed (row stride 1).
+      Tensor at({k, m}), bt({nr, k});
+      transpose(a, at);
+      transpose(b, bt);
+      std::vector<float> ap2(packed_a_size(m, k), -1.0f), bp2(k * kGemmNR, -1.0f);
+      ASSERT_EQ(ap2.size(), ap.size());
+      pack_a_strips(at.raw(), m, k, 1, m, ap2.data());
+      pack_b_panel(bt.raw(), k, nr, 1, k, bp2.data());
+      EXPECT_EQ(ap2, ap);
+      EXPECT_EQ(bp2, bp);
+      const std::size_t ldc = nr + 5;
+      std::vector<float> c(m * ldc, -1.0f), cb(m * ldc, -1.0f);
+      gemm_panel(ap.data(), m, bp.data(), k, nr, nullptr, c.data(), ldc);
+      gemm_panel(ap.data(), m, bp.data(), k, nr, bias.raw(), cb.data(), ldc);
+      for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < ldc; ++j) {
+          if (j >= nr) {  // outside the panel: untouched
+            EXPECT_EQ(c[i * ldc + j], -1.0f);
+            EXPECT_EQ(cb[i * ldc + j], -1.0f);
+            continue;
+          }
+          const float want = expect.at(i, j);
+          const float want_b = want + bias[i];
+          EXPECT_EQ(std::memcmp(&c[i * ldc + j], &want, sizeof(float)), 0);
+          EXPECT_EQ(std::memcmp(&cb[i * ldc + j], &want_b, sizeof(float)), 0);
+        }
+      }
+    }
   }
-  EXPECT_EQ(std::memcmp(batched.raw(), expected.raw(),
-                        batched.numel() * sizeof(float)),
-            0);
 }
 
 TEST(Ops, KernelsBitIdenticalAcrossThreadCounts) {
@@ -358,51 +408,103 @@ TEST(Conv2dGeom, OutputDims) {
   EXPECT_EQ(strided.out_h(), 4u);
 }
 
-TEST(Ops, Im2colIdentityKernel) {
-  // 1x1 kernel, stride 1, no pad: im2col is the identity layout.
-  Conv2dGeom g{2, 3, 3, 1, 1, 0};
+/// One sample in ConvGather's source layout: the image, then a zero slot.
+std::vector<float> gather_source(const std::vector<float>& image) {
+  std::vector<float> src(image);
+  src.push_back(0.0f);
+  return src;
+}
+
+/// X[k, p] read back through pack_x, one kGemmNR-wide panel at a time.
+float packed_x(const ConvGather& gather, const Conv2dGeom& g,
+               const std::vector<float>& src, std::size_t k, std::size_t p) {
+  std::vector<float> panel(g.patch_len() * kGemmNR);
+  const std::size_t p0 = p / kGemmNR * kGemmNR;
+  gather.pack_x(src.data(), p0, panel.data());
+  return panel[k * kGemmNR + (p - p0)];
+}
+
+TEST(ConvGather, IdentityKernelPacksTheImage) {
+  // 1x1 kernel, stride 1, no pad: X is the image itself, [C, H*W].
+  const Conv2dGeom g{2, 3, 3, 1, 1, 0};
+  const ConvGather gather(g);
   std::vector<float> img(2 * 3 * 3);
-  for (std::size_t i = 0; i < img.size(); ++i) img[i] = static_cast<float>(i);
-  Tensor cols({9, 2});
-  im2col(img, g, cols);
+  for (std::size_t i = 0; i < img.size(); ++i) {
+    img[i] = static_cast<float>(i + 1);
+  }
+  const std::vector<float> src = gather_source(img);
   for (std::size_t p = 0; p < 9; ++p) {
-    EXPECT_FLOAT_EQ(cols.at(p, 0), img[p]);
-    EXPECT_FLOAT_EQ(cols.at(p, 1), img[9 + p]);
+    EXPECT_FLOAT_EQ(packed_x(gather, g, src, 0, p), img[p]);
+    EXPECT_FLOAT_EQ(packed_x(gather, g, src, 1, p), img[9 + p]);
+  }
+  // Lanes past the last output position read the zero slot.
+  std::vector<float> panel(g.patch_len() * kGemmNR, -1.0f);
+  gather.pack_x(src.data(), 8, panel.data());
+  EXPECT_FLOAT_EQ(panel[0], img[8]);
+  for (std::size_t j = 1; j < kGemmNR; ++j) EXPECT_FLOAT_EQ(panel[j], 0.0f);
+}
+
+TEST(ConvGather, PaddingReadsZero) {
+  const Conv2dGeom g{1, 2, 2, 3, 1, 1};
+  const ConvGather gather(g);
+  const std::vector<float> src = gather_source({1, 2, 3, 4});
+  // The window centred on (0,0): its top-left 2x2 is out of bounds.
+  EXPECT_FLOAT_EQ(packed_x(gather, g, src, 0, 0), 0.0f);
+  EXPECT_FLOAT_EQ(packed_x(gather, g, src, 4, 0), 1.0f);  // centre: (0,0)
+}
+
+TEST(ConvGather, TransposedPanelsMatchX) {
+  // pack_xt lists the same X elements as pack_x, transposed, with the lanes
+  // past patch_len reading 0.
+  const Conv2dGeom g{3, 5, 4, 3, 2, 1};
+  const ConvGather gather(g);
+  util::Rng rng(20);
+  std::vector<float> img(3 * 5 * 4);
+  for (float& v : img) v = static_cast<float>(rng.normal());
+  const std::vector<float> src = gather_source(img);
+  std::vector<float> panel(g.patches() * kGemmNR);
+  for (std::size_t k0 = 0; k0 < g.patch_len(); k0 += kGemmNR) {
+    gather.pack_xt(src.data(), k0, panel.data());
+    for (std::size_t p = 0; p < g.patches(); ++p) {
+      for (std::size_t j = 0; j < kGemmNR; ++j) {
+        const float want =
+            k0 + j < g.patch_len() ? packed_x(gather, g, src, k0 + j, p) : 0.0f;
+        EXPECT_EQ(panel[p * kGemmNR + j], want) << "k=" << k0 + j << " p=" << p;
+      }
+    }
   }
 }
 
-TEST(Ops, Im2colPaddingReadsZero) {
-  Conv2dGeom g{1, 2, 2, 3, 1, 1};
-  std::vector<float> img = {1, 2, 3, 4};
-  Tensor cols({g.patches(), g.patch_len()});
-  im2col(img, g, cols);
-  // First patch centered at (0,0): the top-left 2x2 of the kernel window is
-  // out of bounds.
-  EXPECT_FLOAT_EQ(cols.at(0, 0), 0.0f);
-  EXPECT_FLOAT_EQ(cols.at(0, 4), 1.0f);  // kernel center hits pixel (0,0)
-}
-
-TEST(Ops, Col2imIsAdjointOfIm2col) {
-  // <im2col(x), y> == <x, col2im(y)> for random x, y — the adjoint
-  // property that makes conv backward correct.
-  Conv2dGeom g{2, 5, 5, 3, 2, 1};
+TEST(ConvGather, Col2imIsAdjointOfPack) {
+  // <X(x), y> == <x, col2im(y)> for random x, y — the adjoint property
+  // that makes conv backward correct.
+  const Conv2dGeom g{2, 5, 5, 3, 2, 1};
+  const ConvGather gather(g);
   util::Rng rng(21);
   std::vector<float> x(2 * 5 * 5);
   for (float& v : x) v = static_cast<float>(rng.normal());
-  Tensor y({g.patches(), g.patch_len()});
-  for (float& v : y.data()) v = static_cast<float>(rng.normal());
+  const std::vector<float> src = gather_source(x);
+  std::vector<float> y(g.patch_len() * gather.ld());
+  for (float& v : y) v = static_cast<float>(rng.normal());
 
-  Tensor cols({g.patches(), g.patch_len()});
-  im2col(x, g, cols);
   double lhs = 0.0;
-  for (std::size_t i = 0; i < y.numel(); ++i) lhs += cols[i] * y[i];
-
-  std::vector<float> xt(x.size(), 0.0f);
-  col2im(y, g, xt);
+  for (std::size_t k = 0; k < g.patch_len(); ++k) {
+    for (std::size_t p = 0; p < g.patches(); ++p) {
+      lhs += packed_x(gather, g, src, k, p) * y[k * gather.ld() + p];
+    }
+  }
+  std::vector<float> xt(x.size(), -7.0f);  // col2im overwrites every pixel
+  gather.col2im(y.data(), xt.data());
   double rhs = 0.0;
   for (std::size_t i = 0; i < x.size(); ++i) rhs += x[i] * xt[i];
 
   EXPECT_NEAR(lhs, rhs, 1e-3);
+}
+
+TEST(ConvGather, RejectsInvalidGeometry) {
+  EXPECT_THROW(ConvGather(Conv2dGeom{1, 4, 4, 0, 1, 0}), util::CheckError);
+  EXPECT_THROW(ConvGather(Conv2dGeom{1, 4, 4, 3, 0, 0}), util::CheckError);
+  EXPECT_THROW(ConvGather(Conv2dGeom{1, 2, 2, 5, 1, 1}), util::CheckError);
 }
 
 TEST(Init, XavierBounds) {

@@ -677,6 +677,21 @@ TEST(ThreadPoolTasks, SaturatedTasksRunParallelForInline) {
   for (TaskHandle& h : blockers) h.join();
 }
 
+TEST(ThreadPoolTasks, JoinedTaskReleasesItsCaptures) {
+  // A task that captures the object owning its own handle (the engine's
+  // MathJob pattern) must not keep that object alive once it has run.
+  struct Job {
+    TaskHandle handle;
+  };
+  ThreadPool pool(2);
+  auto job = std::make_shared<Job>();
+  const std::weak_ptr<Job> watch = job;
+  job->handle = pool.submit_task([job] { (void)job; });
+  job->handle.join();
+  job.reset();
+  EXPECT_TRUE(watch.expired());
+}
+
 TEST(ThreadPoolTasks, ManyTasksAllComplete) {
   ThreadPool pool(3);
   std::atomic<int> count{0};
