@@ -13,7 +13,6 @@
 #include "bench_common.hpp"
 
 #include "data/synthetic_image.hpp"
-#include "sync/sharded_bsp.hpp"
 #include "util/check.hpp"
 
 namespace {
@@ -90,7 +89,12 @@ int main() {
     auto cfg = bench::paper_config(16, epochs);
     cfg.cluster.num_ps = ps;
     ps_jobs.push_back(bench::make_job(
-        spec, [] { return std::make_unique<sync::ShardedBspSync>(); }, cfg));
+        spec,
+        [] {
+          return std::make_unique<sync::BspSync>(
+              sync::BspOptions{.accounting = sync::Accounting::kFramed});
+        },
+        cfg));
     ps_jobs.push_back(bench::make_job(
         spec, [] { return std::make_unique<core::OspSync>(); }, cfg,
         osp_umax));

@@ -1,16 +1,16 @@
 // KV message-filter compositions: wire bytes per push for each pipeline
 // stack, plus what the byte reduction does to accuracy and BST.
 //
-// Every row is KvBspSync (BSP numerics, barrier semantics) with a
-// different filter pipeline, so the *only* difference between rows is
-// what the composed filters do to the payload and its accounting. Bytes
-// are at KvBspSync's self-consistent proxy scale (4 bytes per proxy
-// element; the dense row is the reference), so the interesting column is
-// the ratio. The EXPERIMENTS.md wire-bytes table is generated from this
+// Every row is BspSync under proxy accounting (BSP numerics, barrier
+// semantics) with a different filter pipeline, so the *only* difference
+// between rows is what the composed filters do to the payload and its
+// accounting. Bytes are at the self-consistent proxy scale (4 bytes per
+// proxy element; the dense row is the reference), so the interesting
+// column is the ratio. The EXPERIMENTS.md wire-bytes table is generated from this
 // bench.
 #include "bench_common.hpp"
 
-#include "sync/kv_bsp.hpp"
+#include "sync/bsp.hpp"
 
 int main() {
   using namespace osp;
@@ -24,54 +24,57 @@ int main() {
 
   struct Row {
     std::string label;
-    sync::KvBspOptions opt;
+    sync::BspOptions opt;
   };
   std::vector<Row> rows;
-  rows.push_back({"dense", {}});
+  // Proxy accounting, and the selection seed the rows were recorded with.
+  const sync::BspOptions base{.accounting = sync::Accounting::kProxy,
+                              .seed = 4242};
+  rows.push_back({"dense", base});
   {
-    sync::KvBspOptions o;
+    sync::BspOptions o = base;
     o.gib_keep_fraction = 0.5;
     rows.push_back({"gib 50%", o});
   }
   {
-    sync::KvBspOptions o;
-    o.topk_keep_fraction = 0.1;
+    sync::BspOptions o = base;
+    o.keep_fraction = 0.1;
     rows.push_back({"topk 10%", o});
   }
   {
-    sync::KvBspOptions o;
+    sync::BspOptions o = base;
     o.quantize_int8 = true;
     rows.push_back({"q8", o});
   }
   {
-    sync::KvBspOptions o;
+    sync::BspOptions o = base;
     o.gib_keep_fraction = 0.5;
-    o.topk_keep_fraction = 0.1;
+    o.keep_fraction = 0.1;
     rows.push_back({"gib∘topk", o});
   }
   {
-    sync::KvBspOptions o;
+    sync::BspOptions o = base;
     o.gib_keep_fraction = 0.5;
     o.quantize_int8 = true;
     rows.push_back({"gib∘q8", o});
   }
   {
-    sync::KvBspOptions o;
-    o.topk_keep_fraction = 0.1;
+    sync::BspOptions o = base;
+    o.keep_fraction = 0.1;
     o.quantize_int8 = true;
     rows.push_back({"topk∘q8", o});
   }
   {
-    sync::KvBspOptions o;
+    sync::BspOptions o = base;
     o.gib_keep_fraction = 0.5;
-    o.topk_keep_fraction = 0.1;
+    o.keep_fraction = 0.1;
     o.quantize_int8 = true;
     rows.push_back({"gib∘topk∘q8", o});
   }
 
   double dense_push = 0.0;
   for (const Row& row : rows) {
-    sync::KvBspSync sync(row.opt);
+    sync::BspSync sync(row.opt);
     const auto r = bench::run_one(spec, sync, cfg);
     // Mean encoded push wire bytes per worker per round.
     double total = 0.0;

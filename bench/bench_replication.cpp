@@ -13,8 +13,7 @@
 // this bench.
 #include "bench_common.hpp"
 
-#include "sync/kv_bsp.hpp"
-#include "sync/sharded_bsp.hpp"
+#include "sync/bsp.hpp"
 
 int main() {
   using namespace osp;
@@ -29,11 +28,15 @@ int main() {
     std::function<std::unique_ptr<runtime::SyncModel>()> make;
   };
   std::vector<Row> rows;
-  rows.push_back({"ShardedBSP",
-                  [] { return std::make_unique<sync::ShardedBspSync>(); }});
+  rows.push_back({"ShardedBSP", [] {
+                    return std::make_unique<sync::BspSync>(
+                        sync::BspOptions{.accounting =
+                                             sync::Accounting::kFramed});
+                  }});
   rows.push_back({"KvBSP", [] {
-                    return std::make_unique<sync::KvBspSync>(
-                        sync::KvBspOptions{});
+                    return std::make_unique<sync::BspSync>(
+                        sync::BspOptions{.accounting =
+                                             sync::Accounting::kProxy});
                   }});
   rows.push_back({"OSP", [] { return std::make_unique<core::OspSync>(); }});
 

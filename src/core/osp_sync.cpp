@@ -44,17 +44,7 @@ void OspSync::attach(runtime::Engine& eng) {
   SyncModel::attach(eng);
   gib_ = Gib::all_important(eng.num_blocks());
   num_ps_ = eng.cluster().num_ps();
-  part_ = kv::byte_balanced_partition(eng.all_block_bytes(), num_ps_);
-  tx_.bind(eng);
-  {
-    std::vector<std::size_t> offsets;
-    std::vector<std::size_t> numels;
-    for (const auto& b : eng.blocks()) {
-      offsets.push_back(b.offset);
-      numels.push_back(b.numel);
-    }
-    store_.init(offsets, numels);
-  }
+  exchange_.attach(eng, eng.all_block_bytes(), /*whole_model=*/false);
 
   IcsBudgetParams p;
   // §6.1: with P parameter servers the ICS drains through P independent
@@ -88,10 +78,6 @@ void OspSync::attach(runtime::Engine& eng) {
               "OSP-C needs a co-located cluster configuration");
     eng.set_worker_compute_overhead(0, eng.spec().gib_overhead_fraction);
   }
-  replica_.init(part_, eng.all_block_bytes());
-  serving_.resize(num_ps_);
-  for (std::size_t p = 0; p < num_ps_; ++p) serving_[p] = p;
-  shard_epoch_.assign(num_ps_, 0);
   rs_arrived_.assign(num_ps_,
                      std::vector<std::uint8_t>(eng.num_workers(), 0));
   pending_rs_resp_.clear();
@@ -131,7 +117,8 @@ double OspSync::ps_bytes(const Gib& gib, std::size_t ps,
   const auto& bytes = eng().all_block_bytes();
   std::vector<std::uint8_t> keep(bytes.size(), 0);
   for (std::size_t b = 0; b < bytes.size(); ++b) {
-    keep[b] = part_.owner[b] == ps && gib.important(b) == important ? 1 : 0;
+    keep[b] =
+        exchange_.owner(b) == ps && gib.important(b) == important ? 1 : 0;
   }
   return kv::selected_bytes(keep, bytes);
 }
@@ -144,7 +131,7 @@ kv::KvMessage OspSync::shard_message(kv::Op op, std::uint32_t sender,
   const auto& bytes = eng().all_block_bytes();
   double total = 0.0;
   for (std::size_t b = 0; b < bytes.size(); ++b) {
-    if (part_.owner[b] == ps && gib.important(b) == important) {
+    if (exchange_.owner(b) == ps && gib.important(b) == important) {
       m.keys.push_back(static_cast<kv::Key>(b));
       total += bytes[b];
     }
@@ -160,7 +147,7 @@ Gib OspSync::restrict_to_ps(const Gib& gib, std::size_t ps,
                                 : Gib::all_important(gib.size());
   for (std::size_t b = 0; b < gib.size(); ++b) {
     const bool selected =
-        part_.owner[b] == ps && gib.important(b) == want_important;
+        exchange_.owner(b) == ps && gib.important(b) == want_important;
     if (selected) out.set_important(b, encode_as_important);
   }
   return out;
@@ -179,17 +166,12 @@ void OspSync::on_gradient_ready(std::size_t worker) {
 void OspSync::push_rs_shard(std::size_t worker, std::uint64_t round,
                             std::size_t p) {
   // Whole chain down: the push is re-issued when a restart repoints the
-  // shard (repoint_shard re-pushes for every worker still awaiting).
-  const std::size_t host = serving_[p];
-  if (host == kv::ReplicaTable::npos) return;
+  // shard (redrive_shard re-pushes for every worker still awaiting).
   const kv::KvMessage m =
       shard_message(kv::Op::kPush, static_cast<std::uint32_t>(worker), round,
                     p, gib_, /*important=*/true);
-  // The epoch fences deliveries against a failover: a flow addressed to a
-  // host that lost the shard in the meantime is void on arrival.
-  const std::uint64_t epoch = shard_epoch_[p];
-  tx_.push(worker, host, m, /*owned=*/true, [this, round, p, worker, epoch] {
-    on_rs_push_arrived(round, p, worker, epoch);
+  exchange_.push(worker, p, m.wire_bytes(), [this, round, p, worker] {
+    on_rs_push_arrived(round, p, worker);
   });
 }
 
@@ -216,8 +198,7 @@ void OspSync::arm_rs_timer() {
 }
 
 void OspSync::on_rs_push_arrived(std::uint64_t round, std::size_t p,
-                                 std::size_t worker, std::uint64_t epoch) {
-  if (epoch != shard_epoch_[p]) return;  // landed at a deposed host
+                                 std::size_t worker) {
   if (round != round_ + 1) {
     // Late shard from a round that already closed: the gradient is stale —
     // discard it and resync the worker so it can rejoin.
@@ -268,25 +249,21 @@ void OspSync::on_worker_restarted(std::size_t worker) {
 }
 
 void OspSync::on_ps_crashed(std::size_t ps) {
-  replica_.set_alive(ps, false);
-  for (std::size_t p = 0; p < num_ps_; ++p) {
-    if (serving_[p] == ps) repoint_shard(p);
+  // RS answers queued on the crashed host died with its queue.
+  for (PendingRsResp& pr : pending_rs_resp_) {
+    if (pr.host == ps) pr.host = sync::PsExchange::npos;
   }
+  exchange_.on_ps_crashed(ps, round_ + 1,
+                          [this](std::size_t p) { redrive_shard(p); });
 }
 
 void OspSync::on_ps_restarted(std::size_t ps) {
-  replica_.set_alive(ps, true);
-  for (std::size_t p = 0; p < num_ps_; ++p) {
-    if (replica_.serving(p) != serving_[p]) repoint_shard(p);
-  }
+  exchange_.on_ps_restarted(ps, round_ + 1,
+                            [this](std::size_t p) { redrive_shard(p); });
 }
 
-void OspSync::repoint_shard(std::size_t p) {
+void OspSync::redrive_shard(std::size_t p) {
   runtime::Engine& e = eng();
-  const std::size_t target = replica_.serving(p);
-  if (target == serving_[p]) return;
-  serving_[p] = target;
-  ++shard_epoch_[p];  // arrivals addressed to the deposed host are void
   // Arrivals the dead host was holding for the collecting round never
   // made it into an aggregate: un-count them so the barrier waits for the
   // re-pushes (a worker that lost a shard loses its "contributed" mark).
@@ -301,25 +278,14 @@ void OspSync::repoint_shard(std::size_t p) {
       --rs_contributed_count_;
     }
   }
-  if (target == kv::ReplicaTable::npos) return;  // wait for a restart
-  // Version-predicate catch-up: ship exactly the segments whose tail
-  // update had not reached the replica, and charge the new host's queue.
-  const double shipped = replica_.catch_up(p, store_);
-  e.record_ps_promotion(shipped);
-  {
-    runtime::SyncTelemetry& rec = e.telemetry_round(collecting);
-    ++rec.promotions;
-    rec.catch_up_bytes += shipped;
-  }
-  if (shipped > 0.0) {
-    e.ps_submit(e.ps_apply_delay(shipped, 1.0), [] {}, target);
-  }
+  const std::size_t target = exchange_.serving(p);
+  if (target == sync::PsExchange::npos) return;  // wait for a restart
   // RS responses whose job died with the old host's queue are re-submitted
   // on the promoted replica — re-answered, never re-applied (the optimizer
   // step ran once at close_rs; the version stamps stay monotone).
   for (PendingRsResp& pr : pending_rs_resp_) {
     if (pr.ps != p) continue;
-    if (pr.host != kv::ReplicaTable::npos && e.ps_alive(pr.host)) continue;
+    if (pr.host != sync::PsExchange::npos) continue;  // still queued
     pr.host = target;
     submit_rs_response(pr.id);
   }
@@ -338,15 +304,12 @@ void OspSync::repoint_shard(std::size_t p) {
     kv::KvMessage m = shard_message(kv::Op::kPush, 0, r.round, p, r.gib,
                                     /*important=*/false);
     if (m.value_bytes <= 0.0) continue;
-    const std::uint64_t epoch = shard_epoch_[p];
     for (std::size_t w = 0; w < e.num_workers(); ++w) {
       if (!r.members[w] || !e.worker_alive(w)) continue;
       r.arrived_from[p][w] = false;
-      m.sender = static_cast<std::uint32_t>(w);
       const std::uint64_t rnd = r.round;
-      tx_.push(w, target, m, /*owned=*/true, [this, rnd, p, w, epoch] {
-        on_ics_push_arrived(rnd, p, w, epoch);
-      });
+      exchange_.push(w, p, m.wire_bytes(),
+                     [this, rnd, p, w] { on_ics_push_arrived(rnd, p, w); });
     }
   }
 }
@@ -412,25 +375,10 @@ void OspSync::close_rs() {
   // §2.1.1: weight by sample share; a partial round renormalizes over the
   // contributors while the full-round path keeps the exact historical
   // arithmetic.
-  agg_.assign(e.global_params().size(), 0.0f);
-  if (contributed == n) {
-    for (std::size_t w = 0; w < n; ++w) {
-      util::axpy(static_cast<float>(e.worker_weight(w)),
-                 e.worker_gradient(w), agg_);
-    }
-  } else {
-    double weight_sum = 0.0;
-    for (std::size_t w = 0; w < n; ++w) {
-      if (contributors[w]) weight_sum += e.worker_weight(w);
-    }
-    // Defensive twin of the contributed == 0 gate above: a contributor set
-    // whose weights sum to zero must close as a no-op, not divide by zero.
-    if (weight_sum <= 0.0) return;
-    for (std::size_t w = 0; w < n; ++w) {
-      if (!contributors[w]) continue;
-      util::axpy(static_cast<float>(e.worker_weight(w) / weight_sum),
-                 e.worker_gradient(w), agg_);
-    }
+  if (!exchange_.aggregate(
+          contributors,
+          [&e](std::size_t w) { return e.worker_gradient(w); }, agg_)) {
+    return;
   }
   if (ema_lgp_ != nullptr) ema_lgp_->observe_global(agg_);
 
@@ -441,14 +389,7 @@ void OspSync::close_rs() {
     for (std::size_t b = 0; b < gib_.size(); ++b) {
       stepped[b] = gib_.important(b) ? 1 : 0;
     }
-    store_.bump_selected(stepped);
-    for (std::size_t b = 0; b < gib_.size(); ++b) {
-      if (stepped[b] != 0) {
-        // Async replication trails the apply by one update per segment.
-        replica_.note_update(static_cast<kv::Key>(b),
-                             store_.version(static_cast<kv::Key>(b)));
-      }
-    }
+    exchange_.applied(stepped);
   }
 
   // (c) Asynchronous GIB calculation for the next round.
@@ -462,7 +403,7 @@ void OspSync::close_rs() {
     rec.gib_unimportant = round_gib.count_unimportant();
     rec.important_bytes = round_gib.important_bytes(e.all_block_bytes());
     rec.unimportant_bytes = round_gib.unimportant_bytes(e.all_block_bytes());
-    rec.replica_lag = replica_.lag(store_);
+    rec.replica_lag = exchange_.replica_lag();
   }
 
   const double lr = e.current_lr();
@@ -486,12 +427,12 @@ void OspSync::close_rs() {
     kv::KvMessage resp =
         shard_message(kv::Op::kPullResponse, static_cast<std::uint32_t>(p),
                       this_round, p, round_gib, /*important=*/true);
-    store_.stamp_versions(resp);
+    exchange_.store().stamp_versions(resp);
     resp.meta_bytes += static_cast<double>(gib_.wire_bytes());
     PendingRsResp pending;
     pending.id = next_resp_id_++;
     pending.ps = p;
-    pending.host = serving_[p];
+    pending.host = exchange_.serving(p);
     pending.resp = std::move(resp);
     pending.round_gib = round_gib;
     pending.lr = lr;
@@ -508,8 +449,8 @@ void OspSync::submit_rs_response(std::uint64_t id) {
       pending_rs_resp_.begin(), pending_rs_resp_.end(),
       [id](const PendingRsResp& r) { return r.id == id; });
   OSP_CHECK(it != pending_rs_resp_.end(), "unknown pending RS response");
-  // Shard's whole chain down: repoint_shard re-submits at the restart.
-  if (it->host == kv::ReplicaTable::npos) return;
+  // Shard's whole chain down: redrive_shard re-submits at the restart.
+  if (it->host == sync::PsExchange::npos) return;
   e.ps_submit(
       e.ps_apply_delay(it->resp.value_bytes, 3.0),
       [this, id] {
@@ -526,8 +467,8 @@ void OspSync::submit_rs_response(std::uint64_t id) {
         const double lr = pr.lr;
         for (std::size_t w = 0; w < eng().num_workers(); ++w) {
           if (!pr.recipients[w]) continue;
-          tx_.respond(
-              w, pr.host, pr.resp, /*owned=*/true,
+          exchange_.respond(
+              w, pr.host, pr.resp.wire_bytes(),
               [this, w, p, round_gib, lr] {
                 runtime::Engine& e2 = eng();
                 if (!e2.worker_alive(w) || rs_pending_[w] == 0) return;
@@ -563,17 +504,17 @@ void OspSync::catch_up(std::size_t worker) {
   // The pull is served by whichever host currently serves shard 0; with
   // the whole chain down it is skipped — the RS watchdog retries at the
   // next expiry (the worker stays rs_awaiting_).
-  const std::size_t src = serving_[0];
-  if (src == kv::ReplicaTable::npos) return;
+  const std::size_t src = exchange_.serving(0);
+  if (src == sync::PsExchange::npos) return;
   e.record_catch_up_pull();
   ++e.telemetry_round(round_).retries;
   // Full-model resync pull: every segment, current versions.
   kv::KvMessage pull;
   pull.begin(kv::Op::kPullResponse, static_cast<std::uint32_t>(src), round_,
-             store_.key_range());
-  store_.stamp_versions(pull);
+             exchange_.store().key_range());
+  exchange_.store().stamp_versions(pull);
   pull.set_accounting(e.model_bytes());
-  tx_.respond(worker, src, pull, /*owned=*/true, [this, worker] {
+  exchange_.respond(worker, src, pull.wire_bytes(), [this, worker] {
                       runtime::Engine& e2 = eng();
                       if (!e2.worker_alive(worker) || !rs_awaiting_[worker])
                         return;
@@ -659,16 +600,11 @@ void OspSync::start_ics_round(std::uint64_t round, const Gib& gib,
                                     /*important=*/false);
     if (m.value_bytes <= 0.0) continue;
     // Whole chain down: skipped now, re-pushed when a restart repoints
-    // the shard (repoint_shard re-drives unapplied ICS shards).
-    const std::size_t host = serving_[p];
-    if (host == kv::ReplicaTable::npos) continue;
-    const std::uint64_t epoch = shard_epoch_[p];
+    // the shard (redrive_shard re-drives unapplied ICS shards).
     for (std::size_t w = 0; w < e.num_workers(); ++w) {
       if (!members[w]) continue;
-      m.sender = static_cast<std::uint32_t>(w);
-      tx_.push(w, host, m, /*owned=*/true, [this, round, p, w, epoch] {
-        on_ics_push_arrived(round, p, w, epoch);
-      });
+      exchange_.push(w, p, m.wire_bytes(),
+                     [this, round, p, w] { on_ics_push_arrived(round, p, w); });
     }
   }
   if (timeouts().ics_timeout_s > 0.0) {
@@ -685,8 +621,7 @@ void OspSync::start_ics_round(std::uint64_t round, const Gib& gib,
 }
 
 void OspSync::on_ics_push_arrived(std::uint64_t round, std::size_t ps,
-                                  std::size_t worker, std::uint64_t epoch) {
-  if (epoch != shard_epoch_[ps]) return;  // landed at a deposed host
+                                  std::size_t worker) {
   auto it = std::find_if(
       ics_inflight_.begin(), ics_inflight_.end(),
       [round](const IcsRound& r) { return r.round == round; });
@@ -736,33 +671,26 @@ void OspSync::check_ics_round(std::uint64_t round) {
       for (std::size_t b = 0; b < shard_view.size(); ++b) {
         stepped[b] = shard_view.important(b) ? 0 : 1;
       }
-      store_.bump_selected(stepped);
-      for (std::size_t b = 0; b < shard_view.size(); ++b) {
-        if (stepped[b] != 0) {
-          // Async replication trails the apply by one update per segment.
-          replica_.note_update(static_cast<kv::Key>(b),
-                               store_.version(static_cast<kv::Key>(b)));
-        }
-      }
+      exchange_.applied(stepped);
     }
 
     kv::KvMessage resp =
         shard_message(kv::Op::kPullResponse, static_cast<std::uint32_t>(p),
                       round, p, it->gib, /*important=*/false);
-    store_.stamp_versions(resp);
+    exchange_.store().stamp_versions(resp);
     const std::vector<bool> members = it->members;
     // Correction answers queue on the shard's serving host (the one the
     // completing push just landed on). A correction that dies with a
     // crashed queue is NOT re-driven: the member keeps its LGP prediction
     // — exactly the no-correction degradation OSP already tolerates.
-    const std::size_t host = serving_[p];
+    const std::size_t host = exchange_.serving(p);
     e.ps_submit(
         e.ps_apply_delay(resp.value_bytes, 3.0),
         [this, round, shard_view, resp, members, host] {
           runtime::Engine& en = eng();
           for (std::size_t w = 0; w < en.num_workers(); ++w) {
             if (!members[w] || !en.worker_alive(w)) continue;
-            tx_.respond(w, host, resp, /*owned=*/true,
+            exchange_.respond(w, host, resp.wire_bytes(),
                                [this, w, round, shard_view] {
                                  runtime::Engine& e2 = eng();
                                  if (!e2.worker_alive(w)) return;
@@ -882,10 +810,7 @@ void OspSync::save_state(util::serde::Writer& w) const {
   w.bool_vec(rs_awaiting_);
   w.u64_vec(rs_awaiting_round_);
   w.size_vec(rs_pending_);
-  w.size_vec(serving_);
-  w.u64_vec(shard_epoch_);
-  replica_.save_state(w);
-  store_.save_state(w);
+  exchange_.save_state(w);
 }
 
 void OspSync::load_state(util::serde::Reader& r) {
@@ -928,12 +853,7 @@ void OspSync::load_state(util::serde::Reader& r) {
                 rs_contributed_.size() == n && rs_awaiting_.size() == n &&
                 rs_awaiting_round_.size() == n && rs_pending_.size() == n,
             "OSP checkpoint worker count mismatch");
-  serving_ = r.size_vec();
-  shard_epoch_ = r.u64_vec();
-  OSP_CHECK(serving_.size() == num_ps_ && shard_epoch_.size() == num_ps_,
-            "OSP checkpoint failover state mismatch");
-  replica_.load_state(r);
-  store_.load_state(r);
+  exchange_.load_state(r);
   rs_timer_armed_ = false;  // re-armed by the next push
   ics_inflight_.clear();    // drained before every snapshot
   // Collecting-round bookkeeping is empty at the drain barrier.

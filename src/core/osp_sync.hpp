@@ -49,11 +49,8 @@
 #include "core/lgp.hpp"
 #include "core/tuning.hpp"
 #include "kv/message.hpp"
-#include "kv/partition.hpp"
-#include "kv/replication.hpp"
-#include "kv/store.hpp"
-#include "kv/transport.hpp"
 #include "runtime/sync_model.hpp"
+#include "sync/ps_exchange.hpp"
 #include "util/rng.hpp"
 
 namespace osp::core {
@@ -117,9 +114,8 @@ class OspSync : public runtime::SyncModel {
   [[nodiscard]] std::size_t num_unhealthy() const { return unhealthy_; }
   /// Introspection for tests: host currently serving logical shard `p`.
   [[nodiscard]] std::size_t serving_host(std::size_t p) const {
-    return serving_[p];
+    return exchange_.serving(p);
   }
-  [[nodiscard]] const kv::ReplicaTable& replicas() const { return replica_; }
 
   void save_state(util::serde::Writer& w) const override;
   void load_state(util::serde::Reader& r) override;
@@ -137,7 +133,7 @@ class OspSync : public runtime::SyncModel {
   /// routed to shard `p`'s serving host.
   void push_rs_shard(std::size_t worker, std::uint64_t round, std::size_t p);
   void on_rs_push_arrived(std::uint64_t round, std::size_t p,
-                          std::size_t worker, std::uint64_t epoch);
+                          std::size_t worker);
   void maybe_close_rs();
   void close_rs();
   void catch_up(std::size_t worker);
@@ -153,7 +149,7 @@ class OspSync : public runtime::SyncModel {
   struct PendingRsResp {
     std::uint64_t id = 0;
     std::size_t ps = 0;        ///< logical shard
-    std::size_t host = 0;      ///< host the job is queued on
+    std::size_t host = 0;      ///< host the job is queued on (npos: lost)
     kv::KvMessage resp;
     Gib round_gib = Gib::all_important(0);
     double lr = 0.0;
@@ -161,10 +157,10 @@ class OspSync : public runtime::SyncModel {
   };
   /// Queue pending_rs_resp_ entry `id` on its host's serial queue.
   void submit_rs_response(std::uint64_t id);
-  /// Serving host for shard `p` changed (crash or restart): catch the new
-  /// host up and re-drive what the old host still owed (RS pushes of the
-  /// collecting round, unapplied ICS shard pushes, queued RS responses).
-  void repoint_shard(std::size_t p);
+  /// Shard `p` was repointed (crash or restart): re-drive what the old
+  /// host still owed (RS pushes of the collecting round, unapplied ICS
+  /// shard pushes, queued RS responses).
+  void redrive_shard(std::size_t p);
 
   // ---- ICS ----
   struct IcsRound {
@@ -178,7 +174,7 @@ class OspSync : public runtime::SyncModel {
   void start_ics_round(std::uint64_t round, const Gib& gib,
                        const std::vector<bool>& members);
   void on_ics_push_arrived(std::uint64_t round, std::size_t ps,
-                           std::size_t worker, std::uint64_t epoch);
+                           std::size_t worker);
   /// Apply every shard whose remaining members' pushes all arrived; erase
   /// the round once all byte-carrying shards applied (or no member is
   /// left to deliver the rest).
@@ -231,10 +227,9 @@ class OspSync : public runtime::SyncModel {
   std::unique_ptr<EmaLgp> ema_lgp_;
 
   std::size_t num_ps_ = 1;
-  kv::Partition part_;     ///< block → PS (byte-balanced)
-  kv::Transport tx_;       ///< all RS/ICS traffic (worker-owned flows)
-  kv::KvStore store_;      ///< per-block segment versions
-  kv::ReplicaTable replica_;
+  /// Blocks byte-balanced over the PS hosts, segment versions, replicas
+  /// and failover; carries all RS/ICS traffic (worker-owned flows).
+  sync::PsExchange exchange_;
 
   std::vector<float> agg_;     ///< mean of this round's full gradients
   std::uint64_t round_ = 0;    ///< RS rounds closed; collecting id round_+1
@@ -253,9 +248,7 @@ class OspSync : public runtime::SyncModel {
   std::size_t ics_rounds_completed_ = 0;
   std::map<std::uint64_t, IcsTrace> ics_trace_;  ///< tracing only
 
-  // ---- PS failover state (identity / empty on a healthy run) ----
-  std::vector<std::size_t> serving_;        ///< logical shard → host
-  std::vector<std::uint64_t> shard_epoch_;  ///< fences stale arrivals
+  // ---- PS failover state (empty on a healthy run) ----
   /// Collecting-round RS arrivals per [shard][worker]; pairs with the
   /// rs_shards_arrived_ counter so a promotion can un-count the arrivals
   /// the dead host was holding.

@@ -1,11 +1,8 @@
-// Value-compression primitives shared by the message filters and the
-// gradient-compression sync baselines (§2.2.2, §7).
+// Value-compression primitives behind the gradient-compression baselines
+// (§2.2.2, §7).
 //
 // These are the raw kernels — sparsification and symmetric int8
 // quantization — that the composable filter stages (kv/filter.hpp) wrap.
-// They live below src/sync so both the KV pipeline and the legacy
-// sync-model entry points (sync/compression.hpp keeps aliases) can share
-// one implementation.
 #pragma once
 
 #include <cstdint>

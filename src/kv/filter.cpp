@@ -1,8 +1,6 @@
 #include "kv/filter.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 
 #include "util/check.hpp"
 #include "util/serde.hpp"
@@ -22,14 +20,6 @@ std::uint64_t fnv1a_keys(std::span<const Key> keys) {
   }
   // 0 is reserved for "keys travel inline".
   return h == 0 ? 1 : h;
-}
-
-std::vector<std::uint32_t> value_bits(std::span<const float> values) {
-  std::vector<std::uint32_t> bits(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    bits[i] = std::bit_cast<std::uint32_t>(values[i]);
-  }
-  return bits;
 }
 
 }  // namespace
@@ -114,54 +104,6 @@ void KeyCacheFilter::decode(KvMessage& m) {
     return;
   }
   if (!m.keys.empty()) recv_[fnv1a_keys(m.keys)] = m.keys;
-}
-
-// ----------------------------------------------------------------- XOR delta
-
-void DeltaXorFilter::encode(KvMessage& m) {
-  if (m.sparse || m.values.empty()) return;
-  const StreamKey stream{m.sender, m.range.begin};
-  std::vector<std::uint32_t> cur = value_bits(m.values);
-  const auto it = sent_.find(stream);
-  if (it == sent_.end() || it->second.size() != cur.size()) {
-    sent_[stream] = std::move(cur);  // first message: travels raw
-    return;
-  }
-  const std::vector<std::uint32_t>& prev = it->second;
-  std::size_t nonzero_bytes = 0;
-  for (std::size_t i = 0; i < cur.size(); ++i) {
-    const std::uint32_t x = cur[i] ^ prev[i];
-    m.values[i] = std::bit_cast<float>(x);
-    for (int b = 0; b < 4; ++b) {
-      nonzero_bytes += ((x >> (8 * b)) & 0xffU) != 0 ? 1 : 0;
-    }
-  }
-  // Zero-byte elision: a presence bit per payload byte + the bytes that
-  // actually changed. Scales whatever the value channel currently costs.
-  const double raw_bytes = 4.0 * static_cast<double>(cur.size());
-  const double elided =
-      std::ceil(raw_bytes / 8.0) + static_cast<double>(nonzero_bytes);
-  m.value_bytes *= elided / raw_bytes;
-  m.delta_encoded = true;
-  it->second = std::move(cur);  // new sender baseline: the pre-XOR values
-}
-
-void DeltaXorFilter::decode(KvMessage& m) {
-  const StreamKey stream{m.sender, m.range.begin};
-  if (!m.delta_encoded) {
-    if (!m.sparse && !m.values.empty()) recv_[stream] = value_bits(m.values);
-    return;
-  }
-  const auto it = recv_.find(stream);
-  OSP_CHECK(it != recv_.end() && it->second.size() == m.values.size(),
-            "XOR-delta message without a matching receiver baseline");
-  for (std::size_t i = 0; i < m.values.size(); ++i) {
-    const std::uint32_t orig =
-        std::bit_cast<std::uint32_t>(m.values[i]) ^ it->second[i];
-    m.values[i] = std::bit_cast<float>(orig);
-    it->second[i] = orig;  // new receiver baseline
-  }
-  m.delta_encoded = false;
 }
 
 // ------------------------------------------------------------------- int8

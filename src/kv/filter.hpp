@@ -7,8 +7,8 @@
 // encode produced, with every later stage already undone.
 //
 // Two invariants every stage must keep:
-//  * Lossless stages (key-cache, XOR-delta) restore the encode-input
-//    values bit-for-bit on decode. Lossy stages (top-k, int8, GIB) are
+//  * Lossless stages (key-cache) restore the encode-input values
+//    bit-for-bit on decode. Lossy stages (top-k, int8, GIB) are
 //    projections: encode replaces `values` with the receiver's view, and
 //    decode of a deserialized message reproduces that view exactly, so
 //    lossiness happens once, on encode, never on the wire.
@@ -17,7 +17,7 @@
 //    match the composed pipeline.
 //
 // Stages no-op gracefully on representations they do not apply to
-// (XOR-delta skips sparse messages; value transforms skip empty
+// (key-cache skips range-addressed messages; value transforms skip empty
 // payloads but still update the accounting), so any composition order is
 // safe even if not always byte-optimal.
 #pragma once
@@ -83,23 +83,6 @@ class KeyCacheFilter : public MessageFilter {
  private:
   std::map<std::uint64_t, std::vector<Key>> sent_;  ///< sender-side cache
   std::map<std::uint64_t, std::vector<Key>> recv_;  ///< receiver-side cache
-};
-
-/// XOR delta encoding against the previous message of the same stream
-/// (sender, range.begin): unchanged floats become zero bytes, charged as
-/// a presence bitmap plus the non-zero bytes. Bit-exact invertible
-/// (unlike float subtraction). Skips sparse messages — their support
-/// changes every round, so a positional delta is meaningless.
-class DeltaXorFilter : public MessageFilter {
- public:
-  [[nodiscard]] std::string name() const override { return "deltaxor"; }
-  void encode(KvMessage& m) override;
-  void decode(KvMessage& m) override;
-
- private:
-  using StreamKey = std::pair<std::uint32_t, std::uint64_t>;
-  std::map<StreamKey, std::vector<std::uint32_t>> sent_;  ///< prior bits
-  std::map<StreamKey, std::vector<std::uint32_t>> recv_;
 };
 
 /// Symmetric int8 quantization as a stage: values become the dequantized

@@ -4,18 +4,13 @@
 // queue, so callback ordering stays deterministic.
 //
 // This helper is a raw byte-mover by design — it has no notion of keys,
-// versions, or payload structure. Sync models should not call it with
-// hand-computed byte counts anymore: the primary wire path is
-// kv::Transport (src/kv/transport.hpp), which carries a kv::KvMessage
-// over key ranges, derives the flow size from the message's own byte
-// accounting (after the filter pipeline has run), and bottoms out here.
-// transfer() remains public for traffic that genuinely is structureless
-// (barrier tokens, control pings) and for models not yet ported to the
-// KV core.
+// versions, or payload structure. The BSP and OSP exchanges go through
+// sync::PsExchange (sync/ps_exchange.hpp) instead, which addresses shards,
+// fences failovers and sends worker-owned flows. transfer() remains for
+// the asynchronous baselines' structureless traffic.
 //
 // For traffic owned by a specific worker, prefer
-// Engine::worker_transfer(worker, route, bytes, done) — or
-// kv::Transport's owned=true mode, which wraps it: identical on a
+// Engine::worker_transfer(worker, route, bytes, done): identical on a
 // healthy cluster, but it additionally applies the fault layer
 // (delay/drop injection) and cancels the flow if the worker crashes
 // mid-transfer, so the payload is not delivered posthumously.

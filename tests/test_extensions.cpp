@@ -8,9 +8,8 @@
 #include "models/zoo.hpp"
 #include "runtime/engine.hpp"
 #include "sync/bsp.hpp"
-#include "sync/compression.hpp"
+#include "kv/compress.hpp"
 #include "kv/partition.hpp"
-#include "sync/sharded_bsp.hpp"
 #include "sync/sync_switch.hpp"
 #include "util/check.hpp"
 
@@ -86,7 +85,7 @@ TEST(SyncSwitch, RejectsBadFraction) {
 TEST(Quantization, RoundTripBoundedError) {
   std::vector<float> g = {0.5f, -1.0f, 0.25f, 0.8f};
   std::vector<float> original = g;
-  const float scale = sync::quantize_dequantize_int8(g);
+  const float scale = kv::quantize_dequantize_int8(g);
   EXPECT_GT(scale, 0.0f);
   for (std::size_t i = 0; i < g.size(); ++i) {
     EXPECT_NEAR(g[i], original[i], scale / 2.0f + 1e-7f);
@@ -95,13 +94,13 @@ TEST(Quantization, RoundTripBoundedError) {
 
 TEST(Quantization, ZeroVectorUnchanged) {
   std::vector<float> g(8, 0.0f);
-  EXPECT_FLOAT_EQ(sync::quantize_dequantize_int8(g), 0.0f);
+  EXPECT_FLOAT_EQ(kv::quantize_dequantize_int8(g), 0.0f);
   for (float v : g) EXPECT_FLOAT_EQ(v, 0.0f);
 }
 
 TEST(Quantization, MaxValueExactlyRepresentable) {
   std::vector<float> g = {2.54f, -1.0f};
-  sync::quantize_dequantize_int8(g);
+  kv::quantize_dequantize_int8(g);
   EXPECT_NEAR(g[0], 2.54f, 1e-6f);  // max maps to ±127 exactly
 }
 
@@ -109,7 +108,7 @@ TEST(Quantization, Q8BspReducesBstKeepsAccuracy) {
   const auto spec = models::resnet50_cifar10();
   const auto cfg = ext_config(8, 8);
   sync::BspSync bsp;
-  sync::QuantizedBspSync q8;
+  sync::BspSync q8({.quantize_int8 = true});
   runtime::Engine e1(spec, cfg, bsp);
   const auto rb = e1.run();
   runtime::Engine e2(spec, cfg, q8);
@@ -125,8 +124,8 @@ TEST(ErrorFeedback, RecoversTopKAccuracy) {
   // the dropped mass eventually ships and accuracy recovers.
   const auto spec = models::resnet50_cifar10();
   const auto cfg = ext_config(8, 10);
-  sync::CompressedBspSync plain(sync::CompressionMode::TopK, 0.05);
-  sync::CompressedBspSync ef(sync::CompressionMode::TopK, 0.05, 99, true);
+  sync::BspSync plain({.keep_fraction = 0.05});
+  sync::BspSync ef({.keep_fraction = 0.05, .seed = 99, .error_feedback = true});
   runtime::Engine e1(spec, cfg, plain);
   const auto rp = e1.run();
   runtime::Engine e2(spec, cfg, ef);
@@ -169,7 +168,7 @@ TEST(Sharding, RejectsZeroShards) {
 TEST(ShardedBsp, SinglePsMatchesPlainBspSamples) {
   const auto spec = models::tiny_mlp();
   const auto cfg = ext_config(2, 2);
-  sync::ShardedBspSync sharded;
+  sync::BspSync sharded({.accounting = sync::Accounting::kFramed});
   runtime::Engine engine(spec, cfg, sharded);
   const auto r = engine.run();
   EXPECT_EQ(sharded.name(), "BSP(x1PS)");
@@ -182,8 +181,8 @@ TEST(ShardedBsp, TwoPsFasterThanOne) {
   auto cfg1 = ext_config(8, 3);
   auto cfg2 = cfg1;
   cfg2.cluster.num_ps = 2;
-  sync::ShardedBspSync one;
-  sync::ShardedBspSync two;
+  sync::BspSync one({.accounting = sync::Accounting::kFramed});
+  sync::BspSync two({.accounting = sync::Accounting::kFramed});
   runtime::Engine e1(spec, cfg1, one);
   const auto r1 = e1.run();
   runtime::Engine e2(spec, cfg2, two);
@@ -198,7 +197,7 @@ TEST(ShardedBsp, MatchesBspNumerics) {
   const auto spec = models::tiny_mlp();
   const auto cfg = ext_config(2, 3);
   sync::BspSync plain;
-  sync::ShardedBspSync sharded;
+  sync::BspSync sharded({.accounting = sync::Accounting::kFramed});
   runtime::Engine e1(spec, cfg, plain);
   const auto r1 = e1.run();
   runtime::Engine e2(spec, cfg, sharded);

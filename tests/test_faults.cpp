@@ -6,6 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <memory>
+#include <ostream>
+#include <string>
 
 #include "core/osp_sync.hpp"
 #include "models/zoo.hpp"
@@ -152,12 +156,27 @@ TEST(FaultReplay, SeededChaosIsBitDeterministic) {
 // ---- crash survival (no timeouts configured: the crash notification
 // alone must keep the barrier satisfiable) ----
 
-TEST(CrashSurvival, BspPermanentCrashMidRsNoDeadlock) {
+// Every BSP configuration keeps the survival contract: plain, sharded over
+// two PSes, and the KV-pipeline variants (empty, top-k with error
+// feedback, int8).
+struct BspCrashCase {
+  std::string tag;
+  std::size_t num_ps;
+  std::function<std::unique_ptr<runtime::SyncModel>()> make;
+};
+
+void PrintTo(const BspCrashCase& c, std::ostream* os) { *os << c.tag; }
+
+class BspPermanentCrashMidRsNoDeadlock
+    : public ::testing::TestWithParam<BspCrashCase> {};
+
+TEST_P(BspPermanentCrashMidRsNoDeadlock, SurvivorsFinish) {
   runtime::EngineConfig cfg = golden_config();
+  cfg.cluster.num_ps = GetParam().num_ps;
   cfg.max_virtual_time_s = 60.0;  // backstop: a deadlock trips the assert
   cfg.faults.crash_worker(0.4, 2);
-  sync::BspSync sync;
-  const runtime::RunResult r = run_with(sync, cfg);
+  const std::unique_ptr<runtime::SyncModel> sync = GetParam().make();
+  const runtime::RunResult r = run_with(*sync, cfg);
   EXPECT_LT(r.total_time_s, 59.0) << "run did not converge (deadlock?)";
   EXPECT_EQ(r.faults.worker_crashes, 1u);
   EXPECT_EQ(r.faults.worker_restarts, 0u);
@@ -167,6 +186,39 @@ TEST(CrashSurvival, BspPermanentCrashMidRsNoDeadlock) {
   EXPECT_LT(r.total_samples, 1536.0);
   EXPECT_TRUE(std::isfinite(r.final_loss));
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    CrashSurvival, BspPermanentCrashMidRsNoDeadlock,
+    ::testing::Values(
+        BspCrashCase{"plain", 1,
+                     [] { return std::make_unique<sync::BspSync>(); }},
+        BspCrashCase{"sharded_2ps", 2,
+                     [] {
+                       return std::make_unique<sync::BspSync>(
+                           sync::BspOptions{.accounting =
+                                                sync::Accounting::kFramed});
+                     }},
+        BspCrashCase{"empty_pipeline", 1,
+                     [] {
+                       return std::make_unique<sync::BspSync>(
+                           sync::BspOptions{.accounting =
+                                                sync::Accounting::kProxy});
+                     }},
+        BspCrashCase{"topk_ef", 1,
+                     [] {
+                       return std::make_unique<sync::BspSync>(
+                           sync::BspOptions{.keep_fraction = 0.25,
+                                            .seed = 99,
+                                            .error_feedback = true});
+                     }},
+        BspCrashCase{"q8", 1,
+                     [] {
+                       return std::make_unique<sync::BspSync>(
+                           sync::BspOptions{.quantize_int8 = true});
+                     }}),
+    [](const ::testing::TestParamInfo<BspCrashCase>& info) {
+      return info.param.tag;
+    });
 
 TEST(CrashSurvival, OspPermanentCrashMidTrainingCompletes) {
   runtime::EngineConfig cfg = golden_config();

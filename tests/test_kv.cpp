@@ -293,45 +293,6 @@ TEST(Filters, KeyCacheUnknownSignatureRejected) {
   EXPECT_THROW(receiver.decode(m), util::CheckError);
 }
 
-TEST(Filters, DeltaXorLosslessAndCheaperWhenMostlyUnchanged) {
-  kv::DeltaXorFilter sender;
-  kv::DeltaXorFilter receiver;
-  std::vector<float> base(64);
-  for (std::size_t i = 0; i < base.size(); ++i) {
-    base[i] = 0.25f * static_cast<float>(i) - 3.0f;
-  }
-  for (int round = 0; round < 3; ++round) {
-    std::vector<float> vals = base;
-    vals[static_cast<std::size_t>(round)] += 1.0f;  // one element changes
-    kv::KvMessage m;
-    m.begin(kv::Op::kPush, 1, static_cast<std::uint64_t>(round), {0, 64});
-    m.set_values(vals, 4.0 * 64.0);
-    sender.encode(m);
-    if (round == 0) {
-      EXPECT_FALSE(m.delta_encoded);  // no baseline yet: raw
-      EXPECT_DOUBLE_EQ(m.value_bytes, 256.0);
-    } else {
-      EXPECT_TRUE(m.delta_encoded);
-      EXPECT_LT(m.value_bytes, 256.0 * 0.25);  // bitmap + few changed bytes
-    }
-    kv::KvMessage d = kv::deserialize(kv::serialize(m));
-    receiver.decode(d);
-    EXPECT_FALSE(d.delta_encoded);
-    EXPECT_EQ(d.values, vals);  // bit-exact (XOR, not float subtraction)
-  }
-}
-
-TEST(Filters, DeltaXorSkipsSparseMessages) {
-  kv::DeltaXorFilter f;
-  kv::KvMessage m;
-  m.set_values(std::vector<float>{1.0f, 0.0f}, 8.0);
-  m.indices = {0};
-  m.sparse = true;
-  f.encode(m);
-  EXPECT_FALSE(m.delta_encoded);
-  EXPECT_DOUBLE_EQ(m.value_bytes, 8.0);
-}
-
 TEST(Filters, QuantizeMatchesKernelAndAccounting) {
   std::vector<float> vals = {0.5f, -1.0f, 0.25f, 0.8f};
   std::vector<float> expected = vals;
@@ -407,17 +368,16 @@ TEST(Filters, PipelineStateRoundTripRestoresRandomKStream) {
 
 // --------------------------------------- filter compositions (pairs, triples)
 //
-// Canonical stage order: keycache ∘ gib ∘ topk ∘ q8 ∘ deltaxor. In this
-// order every subset composes safely: addressing first, block projection
-// before element selection, the quantizer transforms whatever value
-// bytes remain, and the XOR delta runs last so it no-ops on sparse
-// payloads (a positional delta over a changing support is meaningless).
+// Canonical stage order: keycache ∘ gib ∘ topk ∘ q8. In this order every
+// subset composes safely: addressing first, block projection before
+// element selection, and the quantizer transforms whatever value bytes
+// remain.
 // The invariant checked for every composition: sender-encode →
 // serialize → deserialize → receiver-decode yields exactly the lossy
 // projection of the input (GIB zeroing, then top-k, then int8), with
 // keys restored and all structural flags cleared.
 
-enum Stage : unsigned { kKeyCache = 0, kGib, kTopK, kQ8, kDeltaXor };
+enum Stage : unsigned { kKeyCache = 0, kGib, kTopK, kQ8 };
 
 constexpr std::size_t kBlocks = 4;
 constexpr std::size_t kBlockNumel = 8;
@@ -446,9 +406,6 @@ kv::FilterPipeline make_pipeline(const std::set<Stage>& stages) {
   }
   if (stages.count(kQ8) != 0) {
     p.add(std::make_unique<kv::QuantizeInt8Filter>());
-  }
-  if (stages.count(kDeltaXor) != 0) {
-    p.add(std::make_unique<kv::DeltaXorFilter>());
   }
   return p;
 }
@@ -508,7 +465,7 @@ void check_composition(const std::set<Stage>& stages) {
 }
 
 TEST(FilterCompositions, AllPairs) {
-  const std::array<Stage, 5> all = {kKeyCache, kGib, kTopK, kQ8, kDeltaXor};
+  const std::array<Stage, 4> all = {kKeyCache, kGib, kTopK, kQ8};
   for (std::size_t a = 0; a < all.size(); ++a) {
     for (std::size_t b = a + 1; b < all.size(); ++b) {
       check_composition({all[a], all[b]});
@@ -517,7 +474,7 @@ TEST(FilterCompositions, AllPairs) {
 }
 
 TEST(FilterCompositions, AllTriples) {
-  const std::array<Stage, 5> all = {kKeyCache, kGib, kTopK, kQ8, kDeltaXor};
+  const std::array<Stage, 4> all = {kKeyCache, kGib, kTopK, kQ8};
   for (std::size_t a = 0; a < all.size(); ++a) {
     for (std::size_t b = a + 1; b < all.size(); ++b) {
       for (std::size_t c = b + 1; c < all.size(); ++c) {

@@ -16,8 +16,7 @@
 #include "models/zoo.hpp"
 #include "runtime/engine.hpp"
 #include "sync/bsp.hpp"
-#include "sync/kv_bsp.hpp"
-#include "sync/sharded_bsp.hpp"
+#include "sync/bsp.hpp"
 #include "util/check.hpp"
 #include "util/serde.hpp"
 
@@ -224,7 +223,7 @@ std::size_t total_promotions(const runtime::RunResult& r) {
 TEST(PsFailover, ShardedBspCrashMidRoundPromotesBackup) {
   runtime::EngineConfig cfg = chaos_config(/*num_ps=*/2);
   cfg.faults.crash_ps(0.3, /*ps=*/0);  // permanent
-  sync::ShardedBspSync sync;
+  sync::BspSync sync({.accounting = sync::Accounting::kFramed});
   const runtime::RunResult r = run_with(sync, cfg);
   EXPECT_LT(r.total_time_s, 59.0) << "run did not converge (deadlock?)";
   EXPECT_EQ(r.faults.ps_crashes, 1u);
@@ -242,7 +241,7 @@ TEST(PsFailover, ShardedBspCrashMidRoundPromotesBackup) {
 TEST(PsFailover, KvBspCrashThenRestartFailsBack) {
   runtime::EngineConfig cfg = chaos_config(/*num_ps=*/2);
   cfg.faults.crash_ps(0.3, /*ps=*/0, /*restart_after=*/0.3);
-  sync::KvBspSync sync{sync::KvBspOptions{}};
+  sync::BspSync sync({.accounting = sync::Accounting::kProxy});
   const runtime::RunResult r = run_with(sync, cfg);
   EXPECT_LT(r.total_time_s, 59.0);
   EXPECT_EQ(r.faults.ps_crashes, 1u);
@@ -252,6 +251,29 @@ TEST(PsFailover, KvBspCrashThenRestartFailsBack) {
   EXPECT_EQ(sync.serving_host(), 0u) << "failback to the restarted primary";
   EXPECT_DOUBLE_EQ(r.total_samples, 1536.0);
   EXPECT_TRUE(std::isfinite(r.final_loss));
+}
+
+TEST(PsFailover, SinglePsCrashWithQueuedAnswerResumes) {
+  // One PS: the chain has no backup, so the crash leaves the shard
+  // unserved until the restart. The crash lands while a round's answer is
+  // queued on the host; the restart must re-submit it (the host is alive
+  // again, but the answer died with its queue) and take the re-pushes.
+  for (const bool osp : {false, true}) {
+    runtime::EngineConfig cfg = chaos_config(/*num_ps=*/1);
+    cfg.faults.crash_ps(0.2281, /*ps=*/0, /*restart_after=*/0.2);
+    sync::BspSync bsp;
+    core::OspSync osp_sync;
+    runtime::SyncModel& sync =
+        osp ? static_cast<runtime::SyncModel&>(osp_sync) : bsp;
+    const runtime::RunResult r = run_with(sync, cfg);
+    SCOPED_TRACE(r.sync_name);
+    EXPECT_LT(r.total_time_s, 59.0) << "run did not converge (deadlock?)";
+    EXPECT_EQ(r.faults.ps_crashes, 1u);
+    EXPECT_EQ(r.faults.ps_restarts, 1u);
+    EXPECT_EQ(r.faults.ps_promotions, 1u) << "only the restart repoints";
+    EXPECT_DOUBLE_EQ(r.total_samples, 1536.0);
+    EXPECT_TRUE(std::isfinite(r.final_loss));
+  }
 }
 
 TEST(PsFailover, OspCrashMidRsPromotesAndDegradesToAllImportant) {
@@ -322,7 +344,7 @@ TEST(PsFailover, EmptyScheduleReportsNoReplicationActivity) {
   // promotions, no catch-up traffic, no PS fault counts.
   runtime::EngineConfig cfg = chaos_config(/*num_ps=*/2);
   cfg.max_virtual_time_s = 0.0;
-  sync::ShardedBspSync sync;
+  sync::BspSync sync({.accounting = sync::Accounting::kFramed});
   const runtime::RunResult r = run_with(sync, cfg);
   EXPECT_FALSE(r.faults.any());
   EXPECT_EQ(r.faults.ps_crashes, 0u);

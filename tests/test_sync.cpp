@@ -21,16 +21,14 @@
 #include <vector>
 
 #include "core/osp_sync.hpp"
+#include "kv/compress.hpp"
 #include "models/zoo.hpp"
 #include "runtime/engine.hpp"
 #include "sync/asp.hpp"
 #include "sync/bsp.hpp"
 #include "sync/casp.hpp"
-#include "sync/compression.hpp"
 #include "sync/dssp.hpp"
-#include "sync/kv_bsp.hpp"
 #include "sync/r2sp.hpp"
-#include "sync/sharded_bsp.hpp"
 #include "sync/ssp.hpp"
 #include "sync/sync_switch.hpp"
 #include "util/check.hpp"
@@ -141,7 +139,7 @@ TEST(R2spBehaviour, SerialVariantIsSlower) {
 TEST(Compression, SparsifyTopKKeepsLargest) {
   std::vector<float> g = {0.1f, -5.0f, 0.2f, 3.0f, -0.05f};
   util::Rng rng(1);
-  const std::size_t kept = sync::sparsify(g, sync::CompressionMode::TopK,
+  const std::size_t kept = kv::sparsify(g, kv::CompressionMode::TopK,
                                           0.4, rng);
   EXPECT_EQ(kept, 2u);
   EXPECT_FLOAT_EQ(g[1], -5.0f);
@@ -154,7 +152,7 @@ TEST(Compression, SparsifyTopKKeepsLargest) {
 TEST(Compression, SparsifyTopKTiesDeterministic) {
   std::vector<float> g = {1.0f, 1.0f, 1.0f, 1.0f};
   util::Rng rng(1);
-  const std::size_t kept = sync::sparsify(g, sync::CompressionMode::TopK,
+  const std::size_t kept = kv::sparsify(g, kv::CompressionMode::TopK,
                                           0.5, rng);
   EXPECT_EQ(kept, 2u);
   EXPECT_FLOAT_EQ(g[0], 1.0f);  // index order fills tie slots
@@ -165,7 +163,7 @@ TEST(Compression, SparsifyTopKTiesDeterministic) {
 TEST(Compression, SparsifyRandomKCount) {
   std::vector<float> g(100, 1.0f);
   util::Rng rng(2);
-  const std::size_t kept = sync::sparsify(g, sync::CompressionMode::RandomK,
+  const std::size_t kept = kv::sparsify(g, kv::CompressionMode::RandomK,
                                           0.3, rng);
   EXPECT_EQ(kept, 30u);
   std::size_t nonzero = 0;
@@ -176,7 +174,7 @@ TEST(Compression, SparsifyRandomKCount) {
 TEST(Compression, KeepAllIsIdentity) {
   std::vector<float> g = {1.0f, 2.0f};
   util::Rng rng(3);
-  EXPECT_EQ(sync::sparsify(g, sync::CompressionMode::TopK, 1.0, rng), 2u);
+  EXPECT_EQ(kv::sparsify(g, kv::CompressionMode::TopK, 1.0, rng), 2u);
   EXPECT_FLOAT_EQ(g[0], 1.0f);
 }
 
@@ -184,7 +182,7 @@ TEST(Compression, TopKBspReducesBstVersusBsp) {
   const auto spec = models::resnet50_cifar10();
   const auto cfg = sync_config(8, 2, 0.0);
   sync::BspSync bsp;
-  sync::CompressedBspSync topk(sync::CompressionMode::TopK, 0.1);
+  sync::BspSync topk({.keep_fraction = 0.1});
   const auto rb = run_model(bsp, cfg, spec);
   const auto rt = run_model(topk, cfg, spec);
   EXPECT_LT(rt.mean_bst_s, rb.mean_bst_s * 0.5);
@@ -196,7 +194,7 @@ TEST(Compression, TopKLosesAccuracyVersusBsp) {
   const auto spec = models::resnet50_cifar10();
   const auto cfg = sync_config(8, 8, 0.0);
   sync::BspSync bsp;
-  sync::CompressedBspSync topk(sync::CompressionMode::TopK, 0.05);
+  sync::BspSync topk({.keep_fraction = 0.05});
   const auto rb = run_model(bsp, cfg, spec);
   const auto rt = run_model(topk, cfg, spec);
   EXPECT_LT(rt.best_metric, rb.best_metric);
@@ -417,7 +415,6 @@ runtime::EngineConfig golden_cfg(std::size_t num_ps = 1) {
 }
 
 std::vector<GoldenCase> golden_cases() {
-  using sync::CompressionMode;
   std::vector<GoldenCase> cases;
   cases.push_back({"bsp",
                    [] { return std::make_unique<sync::BspSync>(); },
@@ -441,23 +438,33 @@ std::vector<GoldenCase> golden_cases() {
                    [] { return std::make_unique<sync::SyncSwitchSync>(0.3); },
                    golden_cfg()});
   cases.push_back({"sharded_bsp_2ps",
-                   [] { return std::make_unique<sync::ShardedBspSync>(); },
+                   [] {
+                     return std::make_unique<sync::BspSync>(
+                         sync::BspOptions{.accounting =
+                                              sync::Accounting::kFramed});
+                   },
                    golden_cfg(/*num_ps=*/2)});
   cases.push_back({"topk_ef",
                    [] {
-                     return std::make_unique<sync::CompressedBspSync>(
-                         CompressionMode::TopK, 0.25, /*seed=*/99,
-                         /*error_feedback=*/true);
+                     return std::make_unique<sync::BspSync>(
+                         sync::BspOptions{.keep_fraction = 0.25,
+                                          .seed = 99,
+                                          .error_feedback = true});
                    },
                    golden_cfg()});
   cases.push_back({"randomk",
                    [] {
-                     return std::make_unique<sync::CompressedBspSync>(
-                         CompressionMode::RandomK, 0.25);
+                     return std::make_unique<sync::BspSync>(
+                         sync::BspOptions{
+                             .sparsify = kv::CompressionMode::RandomK,
+                             .keep_fraction = 0.25});
                    },
                    golden_cfg()});
   cases.push_back({"q8",
-                   [] { return std::make_unique<sync::QuantizedBspSync>(); },
+                   [] {
+                     return std::make_unique<sync::BspSync>(
+                         sync::BspOptions{.quantize_int8 = true});
+                   },
                    golden_cfg()});
   cases.push_back({"osp",
                    [] { return std::make_unique<core::OspSync>(); },
@@ -483,6 +490,52 @@ std::vector<GoldenCase> golden_cases() {
                      return std::make_unique<core::OspSync>(opt);
                    },
                    golden_cfg(/*num_ps=*/2)});
+  // Fault-path rows: the survival contract (deadline close + worker crash
+  // and restart) and PS failover (crash, promotion, failback) on every
+  // family that runs a PS exchange.
+  runtime::EngineConfig worker_crash = golden_cfg();
+  worker_crash.faults.crash_worker(0.4, 2, /*restart_after=*/0.2);
+  cases.push_back({"bsp_timeout_crash",
+                   [] {
+                     return std::make_unique<sync::BspSync>(
+                         runtime::SyncTimeouts{.rs_timeout_s = 0.15});
+                   },
+                   worker_crash});
+  runtime::EngineConfig ps_crash = golden_cfg(/*num_ps=*/2);
+  ps_crash.faults.crash_ps(0.3, 0, /*restart_after=*/0.3);
+  cases.push_back({"sharded_bsp_2ps_pscrash",
+                   [] {
+                     return std::make_unique<sync::BspSync>(
+                         sync::BspOptions{.accounting =
+                                              sync::Accounting::kFramed});
+                   },
+                   ps_crash});
+  cases.push_back({"kvbsp_2ps_pscrash",
+                   [] {
+                     return std::make_unique<sync::BspSync>(
+                         sync::BspOptions{.accounting =
+                                              sync::Accounting::kProxy});
+                   },
+                   ps_crash});
+  cases.push_back({"kvbsp_composed",
+                   [] {
+                     sync::BspOptions opt{.accounting =
+                                              sync::Accounting::kProxy,
+                                          .seed = 4242};
+                     opt.key_cache = true;
+                     opt.gib_keep_fraction = 0.5;
+                     opt.keep_fraction = 0.25;
+                     opt.quantize_int8 = true;
+                     return std::make_unique<sync::BspSync>(opt);
+                   },
+                   golden_cfg()});
+  cases.push_back({"osp_2ps_fixed50_pscrash",
+                   [] {
+                     core::OspOptions opt;
+                     opt.fixed_budget_fraction = 0.5;
+                     return std::make_unique<core::OspSync>(opt);
+                   },
+                   ps_crash});
   // The only row with conv layers: pins Conv2d forward/backward, ReLU and
   // max-pooling through a real OSP run.
   runtime::EngineConfig conv_cfg = golden_cfg();
@@ -589,7 +642,7 @@ TEST(KvBspComposition, TelemetryMatchesComposedPipeline) {
   // report telemetry wire bytes equal to the composed accounting: kept
   // elements (top-k replaces the GIB block bytes) quartered by int8, the
   // GIB bitmap + kept indices on the index channel, the fp32 scale in
-  // meta. KvBspSync uses one self-consistent proxy byte scale, so the
+  // meta. Proxy accounting uses one self-consistent byte scale, so the
   // prediction is exact, per round, per worker.
   const auto spec = models::tiny_mlp();
   runtime::EngineConfig cfg;
@@ -597,11 +650,11 @@ TEST(KvBspComposition, TelemetryMatchesComposedPipeline) {
   cfg.max_epochs = 2;
   cfg.seed = 42;
   cfg.record_telemetry = true;
-  sync::KvBspOptions opt;
+  sync::BspOptions opt{.accounting = sync::Accounting::kProxy, .seed = 4242};
   opt.gib_keep_fraction = 0.5;
-  opt.topk_keep_fraction = 0.25;
+  opt.keep_fraction = 0.25;
   opt.quantize_int8 = true;
-  sync::KvBspSync kvbsp(opt);
+  sync::BspSync kvbsp(opt);
   runtime::Engine engine(spec, cfg, kvbsp);
   const runtime::RunResult r = engine.run();
 
@@ -630,9 +683,9 @@ TEST(KvBspComposition, GibAloneChargesSelectedBlockBytes) {
   cfg.max_epochs = 2;
   cfg.seed = 42;
   cfg.record_telemetry = true;
-  sync::KvBspOptions opt;
+  sync::BspOptions opt{.accounting = sync::Accounting::kProxy, .seed = 4242};
   opt.gib_keep_fraction = 0.5;
-  sync::KvBspSync kvbsp(opt);
+  sync::BspSync kvbsp(opt);
   runtime::Engine engine(spec, cfg, kvbsp);
   const runtime::RunResult r = engine.run();
 
