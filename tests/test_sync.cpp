@@ -544,6 +544,14 @@ std::vector<GoldenCase> golden_cases() {
   cases.push_back({"osp_resnet50_proxy",
                    [] { return std::make_unique<core::OspSync>(); }, conv_cfg,
                    models::resnet50_cifar10});
+  // A scaled-down mlp256_osp_psfail: 32 workers on 4 PS shards, so each
+  // shard answers many workers from one event callback (a same-instant
+  // fan-out of flows onto shared PS links), across a PS crash and restart.
+  runtime::EngineConfig fan_out = golden_cfg(/*num_ps=*/4);
+  fan_out.num_workers = 32;
+  fan_out.faults.crash_ps(0.3, 0, /*restart_after=*/0.3);
+  cases.push_back({"osp_32w_4ps_pscrash",
+                   [] { return std::make_unique<core::OspSync>(); }, fan_out});
   return cases;
 }
 
