@@ -12,14 +12,20 @@
 //
 // On topology and the visit ratio: a single shared PS couples every
 // concurrent flow through the PS ingress/egress link into one connected
-// component, so the incremental solver must legitimately re-solve
-// everything (that coupling *is* the incast effect) and the ratio stays
-// near 1. The reduction appears when traffic has component structure: in
-// sharded/multi-PS deployments (racks with their own PS — the
-// configuration the paper's §6 multi-PS experiments and our
-// bench_ext_scaling §6.1b sweep model) each rack's push set and pull set
-// is an independent component, and the incremental solver skips the rest
-// of the cluster.
+// component, so each solve legitimately spans everything (that coupling
+// *is* the incast effect) and the reference/incremental visit ratio stays
+// near 1. The incremental solver's reduction appears when traffic has
+// component structure: in sharded/multi-PS deployments with racks (each
+// rack with its own PS — the configuration the paper's §6 multi-PS
+// experiments and bench_ext_scaling §6.1b sweep model) each rack's push
+// set and pull set is an independent component, and the solver skips the
+// rest of the cluster.
+//
+// A shared PS still leaves work to save, in the number of solves: the
+// network solves rates once per event callback, not once per flow change.
+// FanOutRound models the mlp256_osp_psfail traffic — every worker crosses
+// every PS shard, and each shard answers all workers from one callback —
+// and reports solves next to the flows started: N answers cost one solve.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -34,6 +40,7 @@
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -216,6 +223,147 @@ BENCHMARK(BM_RoundTripChurn)
     ->Args({16, 8})   // 128 workers
     ->Args({32, 8});  // 256 workers
 
+// ---- same-callback fan-out at 256 workers -------------------------------
+
+/// The mlp256_osp_psfail traffic pattern driven straight against the
+/// Network: `workers` workers each push one slice to each of `shards` PS
+/// shards from one callback; a shard that holds every worker's slice
+/// answers all workers from one callback; a worker with every answer
+/// computes (deterministic jitter) and pushes again, for `rounds` rounds.
+/// Every flow crosses a PS link, so every solve spans all flows in flight.
+class FanOutHarness {
+ public:
+  FanOutHarness(std::size_t workers, std::size_t shards, std::size_t rounds,
+                bool reference_solver)
+      : net_(sim_), rounds_(rounds) {
+    net_.set_use_reference_solver(reference_solver);
+    const double bw = sim::gbps_to_bytes_per_sec(10.0);
+    constexpr double kLatency = 50e-6;
+    constexpr double kAlpha = 0.03;
+    for (std::size_t p = 0; p < shards; ++p) {
+      Shard& sh = shards_.emplace_back();
+      sh.up = net_.add_link(bw, kLatency, 0.0, kAlpha);
+      sh.down = net_.add_link(bw, kLatency, 0.0, kAlpha);
+    }
+    for (std::size_t w = 0; w < workers; ++w) {
+      Worker& wk = workers_.emplace_back();
+      wk.up = net_.add_link(bw, kLatency);
+      wk.down = net_.add_link(bw, kLatency);
+    }
+    // A 4 MB model (tiny_mlp's real_param_bytes) split across the shards.
+    slice_bytes_ = 4e6 / static_cast<double>(shards);
+  }
+
+  void run() {
+    for (std::size_t w = 0; w < workers_.size(); ++w) {
+      sim_.schedule(jitter(w, 0), [this, w] { push(w); });
+    }
+    sim_.run();
+  }
+
+  [[nodiscard]] const sim::Network::SolveStats& stats() const {
+    return net_.solve_stats();
+  }
+  [[nodiscard]] std::uint64_t events() const {
+    return sim_.events_processed();
+  }
+  [[nodiscard]] std::uint64_t flows() const { return flows_; }
+  [[nodiscard]] double makespan() const { return sim_.now(); }
+
+ private:
+  struct Worker {
+    sim::LinkId up = 0;
+    sim::LinkId down = 0;
+    std::size_t answers = 0;
+    std::size_t round = 0;
+  };
+  struct Shard {
+    sim::LinkId up = 0;
+    sim::LinkId down = 0;
+    std::size_t pushes = 0;
+  };
+
+  [[nodiscard]] static double jitter(std::size_t w, std::size_t round) {
+    const std::uint64_t h = w * 2654435761ULL + round * 40503ULL;
+    return 1e-3 + static_cast<double>(h % 97) * 20e-6;
+  }
+
+  void push(std::size_t w) {
+    for (std::size_t p = 0; p < shards_.size(); ++p) {
+      ++flows_;
+      net_.start_flow({workers_[w].up, shards_[p].down}, slice_bytes_,
+                      [this, p] { pushed(p); });
+    }
+  }
+
+  void pushed(std::size_t p) {
+    if (++shards_[p].pushes < workers_.size()) return;
+    shards_[p].pushes = 0;
+    for (std::size_t w = 0; w < workers_.size(); ++w) {
+      ++flows_;
+      net_.start_flow({shards_[p].up, workers_[w].down}, slice_bytes_,
+                      [this, w] { answered(w); });
+    }
+  }
+
+  void answered(std::size_t w) {
+    Worker& wk = workers_[w];
+    if (++wk.answers < shards_.size()) return;
+    wk.answers = 0;
+    if (++wk.round == rounds_) return;
+    sim_.schedule(jitter(w, wk.round), [this, w] { push(w); });
+  }
+
+  sim::Simulator sim_;
+  sim::Network net_;
+  std::vector<Worker> workers_;
+  std::vector<Shard> shards_;
+  std::size_t rounds_ = 0;
+  double slice_bytes_ = 0.0;
+  std::uint64_t flows_ = 0;
+};
+
+/// Args: {workers, shards}. Timed body and counters as in RoundTripChurn.
+/// `flows` is the number of flows started: solving at every flow change
+/// would take 2·flows solves (one per start, one per completion); `solves`
+/// shows what one solve per event callback takes.
+void BM_FanOutRound(benchmark::State& state) {
+  const auto workers = static_cast<std::size_t>(state.range(0));
+  const auto shards = static_cast<std::size_t>(state.range(1));
+  constexpr std::size_t kRounds = 2;
+  auto run = [&](bool reference) {
+    auto h = std::make_unique<FanOutHarness>(workers, shards, kRounds,
+                                             reference);
+    h->run();
+    return h;
+  };
+  const auto after = run(false);
+  const auto before = run(true);
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    const auto h = run(false);
+    events = h->events();
+    benchmark::DoNotOptimize(h->makespan());
+  }
+  state.counters["events_per_s"] = benchmark::Counter(
+      static_cast<double>(events),
+      benchmark::Counter::kIsIterationInvariantRate);
+  state.counters["workers"] = benchmark::Counter(static_cast<double>(workers));
+  state.counters["flows"] =
+      benchmark::Counter(static_cast<double>(after->flows()));
+  state.counters["solves"] =
+      benchmark::Counter(static_cast<double>(after->stats().solves));
+  state.counters["visits_reference"] = benchmark::Counter(
+      static_cast<double>(before->stats().flow_visits));
+  state.counters["visits_incremental"] = benchmark::Counter(
+      static_cast<double>(after->stats().flow_visits));
+  state.counters["visit_ratio"] = benchmark::Counter(
+      static_cast<double>(before->stats().flow_visits) /
+      static_cast<double>(after->stats().flow_visits));
+}
+BENCHMARK(BM_FanOutRound)
+    ->Args({256, 4});  // mlp256_osp_psfail: 256 workers on 4 PS shards
+
 void BM_IncastRound(benchmark::State& state) {
   // One BSP-style round: 8 pushes into the PS + 8 responses.
   std::uint64_t events = 0;
@@ -272,6 +420,11 @@ BENCHMARK(BM_PgpRanking)->Arg(1 << 14)->Arg(1 << 18);
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Every record names the pool size it ran with (OSP_NUM_THREADS), as the
+  // tensor micro-bench's do; the network model itself is single-threaded.
+  const auto threads =
+      static_cast<double>(osp::util::ThreadPool::global().size());
   return osp::bench::run_benchmarks_with_json(
-      argc, argv, "bench_out/BENCH_micro_network.json");
+      argc, argv, "bench_out/BENCH_micro_network.json",
+      /*always_emit_gflops=*/false, {{"threads", threads}});
 }

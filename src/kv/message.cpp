@@ -20,7 +20,6 @@ void write_payload(const KvMessage& m, Writer& w) {
   w.u64_vec(m.versions);
   w.u64(m.key_sig);
   w.boolean(m.sparse);
-  w.boolean(m.delta_encoded);
   w.u8(m.quant_bits);
   w.f32(m.quant_scale);
   w.u64(m.dense_numel);
@@ -61,7 +60,6 @@ KvMessage read_payload(Reader& r) {
             "KV message: version arity mismatch");
   m.key_sig = r.u64();
   m.sparse = r.boolean();
-  m.delta_encoded = r.boolean();
   m.quant_bits = r.u8();
   m.quant_scale = r.f32();
   m.dense_numel = r.u64();

@@ -30,7 +30,7 @@
 namespace osp::kv {
 
 inline constexpr const char* kMessageMagic = "OSPKVMSG";
-inline constexpr std::uint32_t kMessageVersion = 1;
+inline constexpr std::uint32_t kMessageVersion = 2;
 
 /// Fixed per-message frame the serialized format carries regardless of the
 /// payload: 8-byte magic, u32 format version, u64 payload length, u32 CRC.
@@ -54,7 +54,6 @@ struct KvMessage {
   float quant_scale = 0.0f;
   std::uint8_t quant_bits = 0;        ///< 0 = unquantized
   bool sparse = false;                ///< only `indices` positions travel
-  bool delta_encoded = false;         ///< values are XOR deltas on the wire
   bool compact = false;               ///< values hold support only (post-deserialize)
   std::uint64_t dense_numel = 0;      ///< full value count before sparsify
   std::uint64_t key_sig = 0;          ///< key-cache signature (0 = keys inline)
@@ -85,7 +84,7 @@ struct KvMessage {
     block_mask.clear();
     quant_scale = 0.0f;
     quant_bits = 0;
-    sparse = delta_encoded = compact = false;
+    sparse = compact = false;
     dense_numel = 0;
     key_sig = 0;
     dense_value_bytes = value_bytes = index_bytes = meta_bytes = 0.0;

@@ -1,11 +1,18 @@
 #include "sim/network.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/check.hpp"
 #include "util/serde.hpp"
 
 namespace osp::sim {
+
+Network::Network(Simulator& sim) : sim_(&sim) {
+  sim.set_before_event_hook([this] { flush(); });
+}
+
+Network::~Network() { sim_->set_before_event_hook({}); }
 
 LinkId Network::add_link(double bandwidth_bytes_per_s, double latency_s,
                          double loss_rate, double incast_alpha) {
@@ -71,6 +78,7 @@ void Network::remove_flow(std::uint32_t slot) {
     slots_[refs[pos].slot].link_pos[refs[pos].route_pos] = pos;
     refs.pop_back();
   }
+  started_[f.start_pos] = kNpos;
   id_to_slot_.erase(f.id);
   f.on_complete = nullptr;
   f.in_use = false;
@@ -134,17 +142,29 @@ FlowId Network::start_flow(std::vector<LinkId> route, double bytes,
     link_flows_[l].push_back({slot, static_cast<std::uint32_t>(i)});
     if (!link_state_[l].up) ++f.down_links;
   }
+  // Ids grow with every start, so appending keeps started_ in id order.
+  if (started_.size() >= 2 * num_flows_ + 64) {
+    std::size_t live = 0;
+    for (const std::uint32_t s : started_) {
+      if (s == kNpos) continue;
+      slots_[s].start_pos = static_cast<std::uint32_t>(live);
+      started_[live++] = s;
+    }
+    started_.resize(live);
+  }
+  f.start_pos = static_cast<std::uint32_t>(started_.size());
+  started_.push_back(slot);
   id_to_slot_[id] = slot;
   ++num_flows_;
   payload_in_flight_ += bytes;
   if (hooks_.started) hooks_.started(id, f.route, sim_->now(), bytes);
-  seed_flows_.assign(1, slot);
-  recompute_incremental(seed_flows_, {});
-  schedule_next_completion();
+  seed_flows_.push_back(slot);
+  mark_stale();
   return id;
 }
 
-double Network::flow_rate(FlowId id) const {
+double Network::flow_rate(FlowId id) {
+  flush();
   const auto it = id_to_slot_.find(id);
   return it == id_to_slot_.end() ? 0.0 : slots_[it->second].rate;
 }
@@ -156,11 +176,11 @@ bool Network::cancel_flow(FlowId id) {
   advance_to_now();
   payload_in_flight_ -= slots_[slot].payload_bytes;
   if (hooks_.ended) hooks_.ended(id, sim_->now(), /*cancelled=*/true);
-  seed_links_.assign(slots_[slot].route.begin(), slots_[slot].route.end());
+  seed_links_.insert(seed_links_.end(), slots_[slot].route.begin(),
+                     slots_[slot].route.end());
   remove_flow(slot);
   ++flows_cancelled_;
-  recompute_incremental({}, seed_links_);
-  schedule_next_completion();
+  mark_stale();
   return true;
 }
 
@@ -171,7 +191,6 @@ void Network::set_link_up(LinkId id, bool up) {
   // Maintain the per-flow down-hop counters on the edge itself so the
   // solver never rescans routes: one increment/decrement per occurrence of
   // this link on a crossing flow's route.
-  seed_flows_.clear();
   for (const LinkFlowRef& ref : link_flows_[id]) {
     Flow& f = slots_[ref.slot];
     if (up) {
@@ -183,9 +202,8 @@ void Network::set_link_up(LinkId id, bool up) {
     seed_flows_.push_back(ref.slot);
   }
   advance_to_now();
-  seed_links_.assign(1, id);
-  recompute_incremental(seed_flows_, seed_links_);
-  schedule_next_completion();
+  seed_links_.push_back(id);
+  mark_stale();
 }
 
 bool Network::link_up(LinkId id) const {
@@ -201,9 +219,8 @@ void Network::set_link_degradation(LinkId id, double bandwidth_factor,
   link_state_[id].bandwidth_factor = bandwidth_factor;
   link_state_[id].extra_loss_rate = extra_loss_rate;
   advance_to_now();
-  seed_links_.assign(1, id);
-  recompute_incremental({}, seed_links_);
-  schedule_next_completion();
+  seed_links_.push_back(id);
+  mark_stale();
 }
 
 double Network::link_capacity(LinkId id) const {
@@ -251,21 +268,38 @@ void Network::advance_to_now() {
   }
 }
 
-void Network::recompute_incremental(std::span<const std::uint32_t> seed_flows,
-                                    std::span<const LinkId> seed_links) {
+void Network::mark_stale() {
   ++epoch_;
-  if (num_flows_ == 0) return;
-  ++stats_.solves;
-  if (use_reference_solver_) {
-    solve_reference();
-    return;
+  stale_ = true;
+  completion_seq_ = sim_->reserve_seq();
+}
+
+void Network::flush() {
+  if (!stale_) return;
+  stale_ = false;
+  if (num_flows_ != 0) {
+    ++stats_.solves;
+    if (use_reference_solver_) {
+      solve_reference();
+    } else {
+      solve_incremental();
+      if (check_reference_) verify_against_reference();
+    }
   }
+  seed_flows_.clear();
+  seed_links_.clear();
+  schedule_next_completion();
+}
+
+void Network::solve_incremental() {
   // Closure over the flow↔link bipartite graph: a link pulls in every
   // participating (non-stalled) flow crossing it; a flow pulls in every
   // link on its route. Stalled flows claim no capacity, so they do not
   // couple links and the BFS does not expand through them — but seeded
   // flows always expand (a flow that just stalled frees capacity on its
-  // healthy links, and a new or just-unstalled flow claims some).
+  // healthy links, and a new or just-unstalled flow claims some). A seeded
+  // slot freed later in the same callback is skipped: its removal seeded
+  // its route's links.
   ++mark_stamp_;
   affected_.clear();
   touched_links_.clear();
@@ -275,14 +309,17 @@ void Network::recompute_incremental(std::span<const std::uint32_t> seed_flows,
       touched_links_.push_back(l);
     }
   };
-  for (const std::uint32_t slot : seed_flows) {
-    if (flow_mark_[slot] == mark_stamp_) continue;
+  for (const std::uint32_t slot : seed_flows_) {
+    if (flow_mark_[slot] == mark_stamp_ || !slots_[slot].in_use) continue;
     flow_mark_[slot] = mark_stamp_;
     affected_.push_back(slot);
     for (const LinkId l : slots_[slot].route) mark_link(l);
   }
-  for (const LinkId l : seed_links) mark_link(l);
-  for (std::size_t i = 0; i < touched_links_.size(); ++i) {
+  for (const LinkId l : seed_links_) mark_link(l);
+  // Once every flow is in, no link can pull in more, and every link on an
+  // affected route is already touched: stop early.
+  for (std::size_t i = 0;
+       i < touched_links_.size() && affected_.size() < num_flows_; ++i) {
     for (const LinkFlowRef& ref : link_flows_[touched_links_[i]]) {
       if (flow_mark_[ref.slot] == mark_stamp_) continue;
       flow_mark_[ref.slot] = mark_stamp_;
@@ -292,9 +329,29 @@ void Network::recompute_incremental(std::span<const std::uint32_t> seed_flows,
       for (const LinkId l : f.route) mark_link(l);
     }
   }
-  if (affected_.size() == num_flows_) ++stats_.full_solves;
+  const std::size_t n = affected_.size();
+  if (n == num_flows_) ++stats_.full_solves;
+  // Water-filling needs ascending id order. Sorting k flows costs about
+  // k·log2(k); picking the marked ones out of started_ costs one step per
+  // entry. Take the cheaper.
+  unfixed_.clear();
+  if (n * static_cast<std::size_t>(std::bit_width(n)) < started_.size()) {
+    for (const std::uint32_t slot : affected_) {
+      if (slots_[slot].down_links == 0) unfixed_.push_back(slot);
+    }
+    std::sort(unfixed_.begin(), unfixed_.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                return slots_[a].id < slots_[b].id;
+              });
+  } else {
+    for (const std::uint32_t slot : started_) {
+      if (slot != kNpos && flow_mark_[slot] == mark_stamp_ &&
+          slots_[slot].down_links == 0) {
+        unfixed_.push_back(slot);
+      }
+    }
+  }
   solve_over(affected_, touched_links_);
-  if (check_reference_) verify_against_reference();
 }
 
 void Network::solve_over(const std::vector<std::uint32_t>& flow_set,
@@ -305,19 +362,21 @@ void Network::solve_over(const std::vector<std::uint32_t>& flow_set,
   // crossing count, and min-share below takes the same values the full
   // solve would produce for these flows — rates stay bit-identical.
   stats_.flow_visits += flow_set.size();
-  unfixed_.clear();
+  // Flows routed through a down link stall: rate 0, excluded from
+  // water-filling so they don't claim shares on their healthy links. Every
+  // unfixed flow gets its rate below.
   for (const std::uint32_t slot : flow_set) {
-    set_rate(slot, 0.0);
-    // Flows routed through a down link stall: rate 0, excluded from
-    // water-filling so they don't claim shares on their healthy links.
-    if (slots_[slot].down_links == 0) unfixed_.push_back(slot);
+    if (slots_[slot].down_links != 0) set_rate(slot, 0.0);
   }
   if (unfixed_.empty()) return;
   for (const LinkId l : links) crossing_[l] = 0;
   for (const std::uint32_t slot : unfixed_) {
     for (const LinkId l : slots_[slot].route) ++crossing_[l];
   }
+  live_links_.clear();
   for (const LinkId l : links) {
+    if (crossing_[l] == 0) continue;
+    live_links_.push_back(l);
     const double k = static_cast<double>(crossing_[l]);
     // A link's usable capacity shrinks under incast collapse when many
     // flows converge on it.
@@ -326,26 +385,25 @@ void Network::solve_over(const std::vector<std::uint32_t>& flow_set,
     residual_[l] =
         links_[l].bandwidth_bps * link_state_[l].bandwidth_factor / collapse;
   }
-  // Deterministic order: ascending flow id == start order.
-  std::sort(unfixed_.begin(), unfixed_.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              return slots_[a].id < slots_[b].id;
-            });
 
   while (!unfixed_.empty()) {
-    // Find the most constrained link among those carrying unfixed flows.
+    // Find the most constrained link among those carrying unfixed flows,
+    // dropping links whose last unfixed flow was fixed last round.
     double min_share = std::numeric_limits<double>::infinity();
-    for (const LinkId l : links) {
+    std::size_t live = 0;
+    for (const LinkId l : live_links_) {
       if (crossing_[l] == 0) continue;
+      live_links_[live++] = l;
       min_share = std::min(min_share,
                            residual_[l] / static_cast<double>(crossing_[l]));
     }
+    live_links_.resize(live);
     OSP_CHECK(min_share < std::numeric_limits<double>::infinity(),
               "water-filling found no constrained link");
     // Fix every unfixed flow that crosses a link achieving min_share.
+    stats_.flow_visits += unfixed_.size();
     still_unfixed_.clear();
     for (const std::uint32_t slot : unfixed_) {
-      ++stats_.flow_visits;
       Flow& flow = slots_[slot];
       bool bottlenecked = false;
       for (const LinkId l : flow.route) {
@@ -388,9 +446,16 @@ void Network::solve_reference() {
   // asserted against, and as the "before" configuration for benches.
   affected_.clear();
   touched_links_.clear();
+  unfixed_.clear();
   for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
-    if (slots_[slot].in_use) affected_.push_back(slot);
+    if (!slots_[slot].in_use) continue;
+    affected_.push_back(slot);
+    if (slots_[slot].down_links == 0) unfixed_.push_back(slot);
   }
+  std::sort(unfixed_.begin(), unfixed_.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              return slots_[a].id < slots_[b].id;
+            });
   for (LinkId l = 0; l < links_.size(); ++l) touched_links_.push_back(l);
   ++stats_.full_solves;
   solve_over(affected_, touched_links_);
@@ -439,10 +504,12 @@ void Network::schedule_next_completion() {
   }
   const std::uint64_t epoch = epoch_;
   const std::uint32_t slot = best_slot;
-  sim_->schedule(best_dt, [this, epoch, slot] {
-    if (epoch != epoch_) return;  // stale: rates changed since scheduling
-    complete_flow(slot);
-  });
+  sim_->schedule_at(sim_->now() + best_dt, completion_seq_,
+                    [this, epoch, slot] {
+                      // Stale: rates changed since scheduling.
+                      if (epoch != epoch_) return;
+                      complete_flow(slot);
+                    });
 }
 
 void Network::complete_flow(std::uint32_t slot) {
@@ -456,14 +523,15 @@ void Network::complete_flow(std::uint32_t slot) {
   // The flow leaves the wire when its last byte *arrives*, after the
   // route's propagation delay — match what the completion callback sees.
   if (hooks_.ended) hooks_.ended(f.id, sim_->now() + latency, false);
-  seed_links_.assign(f.route.begin(), f.route.end());
+  seed_links_.insert(seed_links_.end(), f.route.begin(), f.route.end());
   remove_flow(slot);
   // Last byte leaves now; it arrives after the route's propagation delay.
+  // The callback's event takes its seq before mark_stale() reserves the
+  // next completion's, which fixes their tie order.
   if (cb != nullptr) {
     sim_->schedule(latency, std::move(cb));
   }
-  recompute_incremental({}, seed_links_);
-  schedule_next_completion();
+  mark_stale();
 }
 
 void Network::save_state(util::serde::Writer& w) const {

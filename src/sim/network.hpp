@@ -10,20 +10,31 @@
 // (OSP's ICS).
 //
 // Every topology change (flow start/finish, link flap, degradation edge,
-// flow cancellation) advances all in-flight flows to the current instant,
-// recomputes rates, and reschedules the next completion. Completion events
-// are invalidated by an epoch counter.
+// flow cancellation) advances all in-flight flows to the current instant
+// and marks rates stale; the rates themselves are solved once per event
+// callback. The network attaches a before-event hook to its simulator that
+// runs one solve over the union of the callback's changes and schedules the
+// next completion. A callback that starts a flow to each of N workers thus
+// costs one solve, not N. Each change reserves the simulator sequence
+// number its eager completion event would have taken, and the flushed event
+// is scheduled at that (time, seq): every live event keeps the place in the
+// pop order it had when each change re-solved at once, so coalescing moves
+// no result. Completion events are invalidated by an epoch counter.
+// flow_rate() flushes before it reads.
 //
 // Scalability: the solver is *incremental*. A link→flows adjacency index
-// lets each topology change re-run water-filling only over the connected
-// component of flows/links reachable from the changed flow or link —
-// disjoint components share no links, so their allocations are independent
-// and untouched rates stay valid bit-for-bit. Flows live in a slot-indexed
+// lets a solve re-run water-filling only over the connected component of
+// flows/links reachable from the changed flows and links — disjoint
+// components share no links, so their allocations are independent and
+// untouched rates stay valid bit-for-bit. Flows live in a slot-indexed
 // table (stable indices, free-list reuse) with an active-flow list so
 // advancing in-flight bytes and rescheduling completions touch only flows
-// whose rate is nonzero. A from-scratch reference solver is kept behind
-// set_use_reference_solver() / set_check_against_reference() and asserted
-// bitwise-equal in the property tests.
+// whose rate is nonzero. Water-filling visits flows in start order, which
+// is id order: a large component is picked out of a start-ordered array of
+// slots instead of being sorted, and a small one is sorted. A
+// from-scratch reference solver is kept behind set_use_reference_solver() /
+// set_check_against_reference() and asserted bitwise-equal in the property
+// tests.
 //
 // Fault injection (see sim/faults.hpp): links carry dynamic state — an
 // up/down bit and a degradation (bandwidth factor + extra loss). A flow
@@ -76,7 +87,10 @@ struct LinkSpec {
 
 class Network {
  public:
-  explicit Network(Simulator& sim) : sim_(&sim) {}
+  /// Attaches the network's solve hook to `sim`; a simulator drives at
+  /// most one network.
+  explicit Network(Simulator& sim);
+  ~Network();
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -143,7 +157,8 @@ class Network {
   [[nodiscard]] std::size_t active_flows() const { return num_flows_; }
 
   /// Current fair-share rate of a flow (bytes/s); 0 if unknown/finished.
-  [[nodiscard]] double flow_rate(FlowId id) const;
+  /// Solves pending changes first.
+  [[nodiscard]] double flow_rate(FlowId id);
 
   /// Total bytes delivered since construction (post-loss-inflation wire
   /// bytes are NOT counted; this is payload).
@@ -176,7 +191,7 @@ class Network {
 
   /// Work counters for the rate solver (reset-free, monotonic).
   struct SolveStats {
-    std::uint64_t solves = 0;       ///< rate recomputations executed
+    std::uint64_t solves = 0;       ///< rate solves (at most one per event)
     std::uint64_t full_solves = 0;  ///< recomputations that spanned all flows
     /// Flow entries examined across all solves: one per flow in the setup
     /// pass plus one per (flow, water-filling round). The incremental
@@ -185,7 +200,7 @@ class Network {
   };
   [[nodiscard]] const SolveStats& solve_stats() const { return stats_; }
 
-  /// Debug: route every recomputation through the from-scratch reference
+  /// Debug: route every solve through the from-scratch reference
   /// water-filling over all flows × links (the pre-incremental algorithm).
   void set_use_reference_solver(bool on) { use_reference_solver_ = on; }
 
@@ -220,6 +235,7 @@ class Network {
     std::vector<std::uint32_t> link_pos;
     std::uint32_t down_links = 0;    ///< route hops currently down
     std::uint32_t active_pos = kNpos;  ///< index in active_, kNpos if rate 0
+    std::uint32_t start_pos = kNpos;  ///< index in started_
     bool in_use = false;
   };
 
@@ -245,23 +261,28 @@ class Network {
   };
 
   void advance_to_now();
+  /// Record a topology change: bump the epoch, reserve the completion
+  /// event's seq, and leave the solve to flush().
+  void mark_stale();
+  /// The before-event hook: one solve over every change since the last
+  /// flush, then schedule the next completion at the reserved seq.
+  void flush();
   void schedule_next_completion();
   void complete_flow(std::uint32_t slot);
 
   std::uint32_t alloc_slot();
-  /// Unlink from the adjacency index, drop from the active list, free the
-  /// slot. Does not recompute rates.
+  /// Unlink from the adjacency index and the start order, drop from the
+  /// active list, free the slot. Does not recompute rates.
   void remove_flow(std::uint32_t slot);
   /// Set a flow's rate, maintaining the active list.
   void set_rate(std::uint32_t slot, double rate);
 
-  /// Recompute rates over the connected component(s) reachable from the
-  /// seed flows/links; bumps the completion epoch. Falls through to the
-  /// reference solver when requested.
-  void recompute_incremental(std::span<const std::uint32_t> seed_flows,
-                             std::span<const LinkId> seed_links);
-  /// Progressive water-filling restricted to `flow_set` / `links` (the
-  /// closed sub-problem collected by recompute_incremental).
+  /// Re-solve the connected component(s) reachable from seed_flows_ /
+  /// seed_links_.
+  void solve_incremental();
+  /// Progressive water-filling restricted to `flow_set` / `links` (a closed
+  /// sub-problem). unfixed_ must hold flow_set's non-stalled flows in
+  /// ascending id order.
   void solve_over(const std::vector<std::uint32_t>& flow_set,
                   const std::vector<LinkId>& links);
   /// From-scratch water-filling over every flow and link.
@@ -281,6 +302,10 @@ class Network {
   std::unordered_map<FlowId, std::uint32_t> id_to_slot_;
   std::vector<std::vector<LinkFlowRef>> link_flows_;  ///< parallel to links_
   std::vector<std::uint32_t> active_;  ///< slots with rate > 0
+  /// Slots in start order, which is id order. A removed flow leaves a
+  /// kNpos hole; starts compact the holes away once they outnumber the
+  /// flows in flight, so the size stays under 2 * flows in flight + 64.
+  std::vector<std::uint32_t> started_;
   std::size_t num_flows_ = 0;
 
   // Solver scratch (persistent to avoid per-solve allocation). residual_/
@@ -295,8 +320,12 @@ class Network {
   std::vector<LinkId> touched_links_;
   std::vector<std::uint32_t> unfixed_;
   std::vector<std::uint32_t> still_unfixed_;
+  std::vector<LinkId> live_links_;  ///< touched links still crossed
+  // Changes since the last flush: the seeds of the next solve.
   std::vector<LinkId> seed_links_;
   std::vector<std::uint32_t> seed_flows_;
+  bool stale_ = false;
+  std::uint64_t completion_seq_ = 0;  ///< reserved by the latest change
   std::vector<std::pair<std::uint32_t, double>> rate_snapshot_;
 
   SolveStats stats_;

@@ -12,10 +12,21 @@ void Simulator::schedule(SimTime delay, EventFn fn) {
 }
 
 void Simulator::schedule_at(SimTime when, EventFn fn) {
+  schedule_at(when, next_seq_++, std::move(fn));
+}
+
+void Simulator::schedule_at(SimTime when, std::uint64_t seq, EventFn fn) {
   OSP_CHECK(when >= now_, "cannot schedule into the past");
+  OSP_CHECK(seq < next_seq_, "sequence number was never reserved");
   OSP_CHECK(static_cast<bool>(fn), "null event");
-  heap_.push_back(Event{when, next_seq_++, std::move(fn)});
+  heap_.push_back(Event{when, seq, std::move(fn)});
   sift_up(heap_.size() - 1);
+}
+
+void Simulator::set_before_event_hook(EventFn hook) {
+  OSP_CHECK(!hook || !before_event_,
+            "a simulator takes at most one before-event hook");
+  before_event_ = std::move(hook);
 }
 
 void Simulator::sift_up(std::size_t i) {
@@ -51,7 +62,7 @@ Simulator::Event Simulator::pop_min() {
 
 std::size_t Simulator::run() {
   std::size_t count = 0;
-  while (!heap_.empty()) {
+  for (run_hook(); !heap_.empty(); run_hook()) {
     // Move out, pop, then fire: the handler may schedule new events.
     Event ev = pop_min();
     now_ = ev.time;
@@ -65,7 +76,8 @@ std::size_t Simulator::run() {
 std::size_t Simulator::run_until(SimTime deadline) {
   OSP_CHECK(deadline >= now_, "deadline in the past");
   std::size_t count = 0;
-  while (!heap_.empty() && heap_.front().time <= deadline) {
+  for (run_hook(); !heap_.empty() && heap_.front().time <= deadline;
+       run_hook()) {
     Event ev = pop_min();
     now_ = ev.time;
     ev.fn();

@@ -12,6 +12,14 @@
 // to the inline buffer size. The (time, seq) comparator is a strict total
 // order, so the pop sequence — and therefore determinism — is independent
 // of the heap's internal layout.
+//
+// One client may attach a before-event hook (sim::Network does): it runs
+// before every pop, and before run_until() compares the next event with its
+// deadline. A client that defers work to the hook — the network coalesces
+// every topology change of one event callback into a single rate solve —
+// reserves the sequence number its eager schedule() would have taken and
+// later schedules at that reserved seq, so the deferred event sorts exactly
+// where the eager one would have.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +53,18 @@ class Simulator {
   /// Schedule `fn` at absolute time `when` (must be >= now()).
   void schedule_at(SimTime when, EventFn fn);
 
+  /// Take the next sequence number without scheduling anything; pass it to
+  /// schedule_at(when, seq, fn) later to fire in the tie order of an event
+  /// scheduled now.
+  [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
+
+  /// Schedule `fn` at `when` with a seq from reserve_seq().
+  void schedule_at(SimTime when, std::uint64_t seq, EventFn fn);
+
+  /// Attach the hook run before every event pop (see the file comment);
+  /// an empty `hook` detaches. At most one hook may be attached.
+  void set_before_event_hook(EventFn hook);
+
   /// Run until the event queue drains. Returns events processed.
   std::size_t run();
 
@@ -55,6 +75,8 @@ class Simulator {
   /// Drop all pending events (used between experiment repetitions).
   void clear();
 
+  /// Queued events only: work a client holds for the before-event hook
+  /// (the network's next solve) is not an event until the hook runs.
   [[nodiscard]] bool empty() const { return heap_.empty(); }
   [[nodiscard]] std::size_t pending() const { return heap_.size(); }
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
@@ -72,6 +94,9 @@ class Simulator {
     return a.seq < b.seq;
   }
 
+  void run_hook() {
+    if (before_event_) before_event_();
+  }
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
   /// Remove and return the earliest event.
@@ -81,6 +106,7 @@ class Simulator {
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
   std::vector<Event> heap_;  ///< min-heap ordered by earlier()
+  EventFn before_event_;
 };
 
 }  // namespace osp::sim

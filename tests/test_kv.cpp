@@ -208,7 +208,7 @@ TEST(KvMessage, BeginResetsEverythingButTheValueBuffer) {
   m.keys = {7};
   m.versions = {1};
   m.indices = {0};
-  m.sparse = m.delta_encoded = m.compact = true;
+  m.sparse = m.compact = true;
   m.key_sig = 9;
   m.set_accounting(64.0);
   m.begin(kv::Op::kPullResponse, 3, 11, {2, 9});
@@ -217,7 +217,7 @@ TEST(KvMessage, BeginResetsEverythingButTheValueBuffer) {
   EXPECT_EQ(m.round, 11u);
   EXPECT_EQ(m.range, (kv::KeyRange{2, 9}));
   EXPECT_TRUE(m.keys.empty() && m.versions.empty() && m.indices.empty());
-  EXPECT_FALSE(m.sparse || m.delta_encoded || m.compact);
+  EXPECT_FALSE(m.sparse || m.compact);
   EXPECT_EQ(m.key_sig, 0u);
   // A freshly begun message still pays the fixed serialization frame.
   EXPECT_DOUBLE_EQ(m.wire_bytes(), kv::kFrameOverheadBytes);
@@ -460,7 +460,6 @@ void check_composition(const std::set<Stage>& stages) {
     EXPECT_EQ(d.keys, keys);
     EXPECT_EQ(d.key_sig, 0u);
     EXPECT_FALSE(d.compact);
-    EXPECT_FALSE(d.delta_encoded);
   }
 }
 

@@ -69,6 +69,33 @@ TEST(Simulator, RejectsPastScheduling) {
   EXPECT_THROW(sim.schedule(-1.0, [] {}), util::CheckError);
 }
 
+TEST(Simulator, ReservedSeqKeepsItsTieOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  const std::uint64_t seq = sim.reserve_seq();
+  sim.schedule(1.0, [&] { order.push_back(1); });
+  sim.schedule_at(1.0, seq, [&] { order.push_back(0); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_THROW(sim.schedule_at(2.0, sim.reserve_seq() + 1, [] {}),
+               util::CheckError);
+}
+
+TEST(Simulator, BeforeEventHookRunsBeforeEveryPop) {
+  Simulator sim;
+  int hooks = 0;
+  sim.set_before_event_hook([&] { ++hooks; });
+  EXPECT_THROW(sim.set_before_event_hook([] {}), util::CheckError);
+  sim.schedule(1.0, [] {});
+  sim.schedule(2.0, [] {});
+  sim.schedule(5.0, [] {});
+  sim.run_until(3.0);
+  EXPECT_EQ(hooks, 3);  // before each of two pops, and before the deadline
+  sim.set_before_event_hook({});
+  sim.run();
+  EXPECT_EQ(hooks, 3);
+}
+
 TEST(Simulator, ClearDropsPending) {
   Simulator sim;
   sim.schedule(1.0, [] {});
@@ -562,7 +589,7 @@ TEST(NetworkFaults, FlapFuzzPreservesInvariants) {
 // ---- incremental rate solver vs. from-scratch reference -----------------
 
 /// Drives one seeded random workload — random topology, staggered flow
-/// starts over random routes, link flaps — against `net`/`sim` and returns
+/// starts over random routes, link flaps, multi-flow bursts — against `net`/`sim` and returns
 /// per-flow completion times (index = start order; -1 for flows that never
 /// finished). Used to compare the incremental and reference solvers on
 /// bit-identical inputs.
@@ -601,14 +628,57 @@ std::vector<double> run_random_workload(Simulator& sim, Network& net,
     sim.schedule_at(down_at + rng.uniform(0.05, 0.8),
                     [&net, l] { net.set_link_up(l, true); });
   }
+  // Bursts: several flows started from one callback (one coalesced solve).
+  // After one of the starts an untracked flow is started and cancelled at
+  // once, so its slot is freed inside the burst (and reused by the next
+  // start, if any); some bursts also take a link down in the same callback.
+  const std::size_t num_bursts = 3 + rng.uniform_u64(4);
+  for (std::size_t b = 0; b < num_bursts; ++b) {
+    struct BurstFlow {
+      std::size_t index;
+      std::vector<LinkId> route;
+      double payload;
+    };
+    std::vector<BurstFlow> burst;
+    const std::size_t size = 2 + rng.uniform_u64(5);
+    for (std::size_t j = 0; j < size; ++j) {
+      std::vector<LinkId> route;
+      const std::size_t hops = 1 + rng.uniform_u64(3);
+      for (std::size_t h = 0; h < hops; ++h) {
+        route.push_back(links[rng.uniform_u64(links.size())]);
+      }
+      done->push_back(-1.0);
+      burst.push_back({done->size() - 1, std::move(route),
+                       rng.uniform(50.0, 3000.0)});
+    }
+    const std::size_t cancel_after = rng.uniform_u64(size);
+    const LinkId flap = links[rng.uniform_u64(links.size())];
+    const double down_for = rng.bernoulli(0.5) ? rng.uniform(0.05, 0.8) : 0.0;
+    sim.schedule_at(rng.uniform(0.0, 4.0), [&net, &sim, done, burst,
+                                            cancel_after, flap, down_for] {
+      for (std::size_t j = 0; j < burst.size(); ++j) {
+        const BurstFlow& f = burst[j];
+        net.start_flow(std::vector<LinkId>(f.route), f.payload,
+                       [&sim, done, i = f.index] { (*done)[i] = sim.now(); });
+        if (j == cancel_after) {
+          net.cancel_flow(net.start_flow(std::vector<LinkId>(f.route),
+                                         f.payload, [] {}));
+        }
+      }
+      if (down_for > 0.0) {
+        net.set_link_up(flap, false);
+        sim.schedule(down_for, [&net, flap] { net.set_link_up(flap, true); });
+      }
+    });
+  }
   sim.run();
   return *done;
 }
 
 // Property test: with check-against-reference enabled, every single rate
-// recomputation re-runs the from-scratch solver internally and OSP_CHECKs
-// that each flow's rate is bitwise identical — across random topologies,
-// staggered arrivals, random routes, and link flaps.
+// solve re-runs the from-scratch solver internally and OSP_CHECKs that each
+// flow's rate is bitwise identical — across random topologies, staggered
+// arrivals, random routes, link flaps, and same-callback bursts.
 TEST(NetworkIncremental, RandomChurnMatchesReferenceBitwise) {
   for (std::uint64_t seed = 11; seed <= 18; ++seed) {
     Simulator sim;
@@ -683,6 +753,103 @@ TEST(NetworkIncremental, ShardedComponentsReduceVisits) {
   const std::uint64_t ref = run_sharded(true);
   EXPECT_GE(static_cast<double>(ref), 5.0 * static_cast<double>(inc))
       << "ref=" << ref << " inc=" << inc;
+}
+
+// ---- coalesced solves: one rate solve per event callback ----------------
+
+TEST(NetworkCoalescing, BurstInOneCallbackSolvesOnce) {
+  Simulator sim;
+  Network net(sim);
+  const LinkId ps = net.add_link(1000.0);
+  std::vector<LinkId> uplinks;
+  for (int w = 0; w < 16; ++w) uplinks.push_back(net.add_link(500.0));
+  std::uint64_t solves_before = 0;
+  std::uint64_t solves_after_burst = 0;
+  sim.schedule(1.0, [&] {
+    solves_before = net.solve_stats().solves;
+    for (const LinkId up : uplinks) net.start_flow({up, ps}, 100.0, nullptr);
+  });
+  // Runs after the burst's callback and before any completion.
+  sim.schedule(1.0, [&] { solves_after_burst = net.solve_stats().solves; });
+  sim.run();
+  EXPECT_EQ(solves_after_burst, solves_before + 1);
+  EXPECT_EQ(net.active_flows(), 0u);
+  EXPECT_DOUBLE_EQ(net.bytes_delivered(), 1600.0);
+}
+
+TEST(NetworkCoalescing, CompletionKeepsItsTieOrderAgainstLaterEvents) {
+  // The flow is started before the probe is scheduled and completes at the
+  // probe's instant; its completion event must fire first, as it would if
+  // the start solved at once. Without the reserved seq, the deferred
+  // completion would sort after the probe.
+  Simulator sim;
+  Network net(sim);
+  const LinkId l = net.add_link(1000.0);  // zero latency
+  double seen_at_probe = -1.0;
+  sim.schedule(0.5, [&] {
+    net.start_flow({l}, 1000.0, nullptr);  // completes at 0.5 + 1.0
+    sim.schedule(1.0, [&] { seen_at_probe = net.bytes_delivered(); });
+  });
+  sim.run();
+  EXPECT_DOUBLE_EQ(seen_at_probe, 1000.0);
+  EXPECT_DOUBLE_EQ(sim.now(), 1.5);
+}
+
+TEST(NetworkCoalescing, FlowsStartedBeforeRunAreSolved) {
+  Simulator sim;
+  Network net(sim);
+  const LinkId l = net.add_link(100.0);
+  const FlowId a = net.start_flow({l}, 100.0, nullptr);
+  const FlowId b = net.start_flow({l}, 300.0, nullptr);
+  // flow_rate() solves the pending starts before it reads.
+  EXPECT_DOUBLE_EQ(net.flow_rate(a), 50.0);
+  EXPECT_DOUBLE_EQ(net.flow_rate(b), 50.0);
+  EXPECT_EQ(net.solve_stats().solves, 1u);
+  const FlowId c = net.start_flow({l}, 100.0, nullptr);
+  // A deadline before the first completion: the hook still solves and
+  // schedules it, so the completion is pending when run_until returns.
+  sim.run_until(0.5);
+  EXPECT_FALSE(sim.empty());
+  EXPECT_DOUBLE_EQ(sim.now(), 0.5);
+  EXPECT_NEAR(net.flow_rate(c), 100.0 / 3.0, 1e-12);
+  sim.run();
+  // a and c finish together at 3 s (100 B at 33.3 B/s); b then has 200 B
+  // left alone on the link: 2 s more.
+  EXPECT_NEAR(sim.now(), 5.0, 1e-9);
+  EXPECT_EQ(net.active_flows(), 0u);
+}
+
+TEST(NetworkCoalescing, StartThenCancelInOneCallbackLeavesNoTrace) {
+  // The cancelled flow's slot stays seeded for the coming solve but is
+  // free by then; the solve must skip it rather than give it a rate.
+  Simulator sim;
+  Network net(sim);
+  net.set_check_against_reference(true);
+  for (int i = 0; i < 8; ++i) {
+    net.start_flow({net.add_link(100.0)}, 100.0, nullptr);
+  }
+  const LinkId spare = net.add_link(100.0);
+  sim.schedule(0.25, [&] {
+    EXPECT_TRUE(net.cancel_flow(net.start_flow({spare}, 50.0, nullptr)));
+  });
+  sim.run();
+  EXPECT_EQ(net.flows_cancelled(), 1u);
+  EXPECT_DOUBLE_EQ(net.bytes_delivered(), 800.0);
+  EXPECT_DOUBLE_EQ(sim.now(), 1.0);
+}
+
+TEST(NetworkCoalescing, OneNetworkPerSimulator) {
+  Simulator sim;
+  {
+    Network first(sim);
+    EXPECT_THROW(Network second(sim), util::CheckError);
+  }
+  // The destroyed network detached its hook.
+  Network again(sim);
+  const LinkId l = again.add_link(10.0);
+  again.start_flow({l}, 10.0, nullptr);
+  sim.run();
+  EXPECT_DOUBLE_EQ(again.bytes_delivered(), 10.0);
 }
 
 }  // namespace
