@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark): tensor kernels on the hot path of
 // the proxy-model training — matmul orientations (square, skewed, and
-// tile-boundary shapes), implicit-GEMM conv and its gather packer, softmax,
-// and the rank-2 helpers.
+// tile-boundary shapes), implicit-GEMM conv, its GEMM panel kernel in every
+// SIMD tier and its gather packer, softmax, and the rank-2 helpers.
 //
 // Besides the console table, the run writes bench_out/BENCH_micro_tensor.json
 // (override the path with OSP_BENCH_JSON): one record per benchmark with
@@ -202,6 +202,72 @@ void BM_ConvGatherPack(benchmark::State& state) {
                                                     g.patch_len()));
 }
 BENCHMARK(BM_ConvGatherPack)->Arg(8)->Arg(16)->Arg(32);
+
+// Panel kernel alone: the three GEMMs of one sample's Conv2d step on each
+// ResNet50-proxy layer, run through tensor::gemm_panel one packed B panel
+// at a time as nn::Conv2d runs them, with both operands packed up front.
+// One row per GEMM kernel tier the CPU can run (avx2fma runs the AVX2
+// kernel); registered from main() as "BM_GemmPanel/<tier>/<gemm>/<m>x<k>x<n>".
+void BM_GemmPanel(benchmark::State& state, osp::util::simd::Tier tier,
+                  std::size_t m, std::size_t k, std::size_t n) {
+  using osp::tensor::kGemmNR;
+  const osp::util::simd::ScopedTier scoped(tier);
+  const Tensor a = random_matrix(m, k, 51);
+  const Tensor b = random_matrix(k, n, 52);
+  std::vector<float> ap(osp::tensor::packed_a_size(m, k));
+  osp::tensor::pack_a_strips(a.raw(), m, k, k, 1, ap.data());
+  const std::size_t panels = (n + kGemmNR - 1) / kGemmNR;
+  std::vector<float> bp(panels * k * kGemmNR);
+  for (std::size_t jp = 0; jp < panels; ++jp) {
+    const std::size_t j0 = jp * kGemmNR;
+    osp::tensor::pack_b_panel(b.raw() + j0, k, std::min(kGemmNR, n - j0), n,
+                              1, bp.data() + jp * k * kGemmNR);
+  }
+  std::vector<float> c(m * n);
+  for (auto _ : state) {
+    for (std::size_t jp = 0; jp < panels; ++jp) {
+      const std::size_t j0 = jp * kGemmNR;
+      osp::tensor::gemm_panel(ap.data(), m, bp.data() + jp * k * kGemmNR, k,
+                              std::min(kGemmNR, n - j0), nullptr,
+                              c.data() + j0, n);
+    }
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  set_flops(state, 2.0 * static_cast<double>(m) * k * n);
+  state.counters["simd_tier"] = static_cast<double>(tier);
+}
+
+void register_gemm_panel_benchmarks() {
+  using osp::util::simd::Tier;
+  struct Layer {
+    std::size_t in_c, out_c, side;
+  };
+  // models::resnet50_cifar10's conv layers (3x3, pad 1).
+  const Layer layers[] = {{3, 10, 8}, {10, 14, 8}, {14, 18, 4}, {18, 18, 4}};
+  for (const Tier tier : {Tier::kScalar, Tier::kAvx2, Tier::kAvx512}) {
+    if (tier > osp::util::simd::hardware_tier()) continue;
+    for (const Layer& l : layers) {
+      const std::size_t plen = l.in_c * 9, patches = l.side * l.side;
+      struct Gemm {
+        const char* name;
+        std::size_t m, k, n;
+      };
+      // out = W·X, dW = G·Xᵀ, dX = Wᵀ·G.
+      const Gemm gemms[] = {{"fwd", l.out_c, plen, patches},
+                            {"dw", l.out_c, patches, plen},
+                            {"dx", plen, l.out_c, patches}};
+      for (const Gemm& g : gemms) {
+        const std::string name =
+            std::string("BM_GemmPanel/") + osp::util::simd::tier_name(tier) +
+            "/" + g.name + "/" + std::to_string(g.m) + "x" +
+            std::to_string(g.k) + "x" + std::to_string(g.n);
+        benchmark::RegisterBenchmark(name.c_str(), BM_GemmPanel, tier, g.m,
+                                     g.k, g.n);
+      }
+    }
+  }
+}
 
 void BM_SoftmaxRows(benchmark::State& state) {
   const auto cols = static_cast<std::size_t>(state.range(0));
@@ -473,6 +539,7 @@ int main(int argc, char** argv) {
   // since the threaded kernels' times depend on it.
   const auto threads =
       static_cast<double>(osp::util::ThreadPool::global().size());
+  register_gemm_panel_benchmarks();
   return osp::bench::run_benchmarks_with_json(
       argc, argv, "bench_out/BENCH_micro_tensor.json",
       /*always_emit_gflops=*/true, {{"threads", threads}});

@@ -106,7 +106,8 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
         thread_local std::vector<float> gpack, bpack, dcols;
         gpack.resize(packed_a_size(out_c, patches));
         bpack.resize(std::max(patches, out_c) * kGemmNR);
-        dcols.resize(plen * ld);
+        dcols.resize(plen * ld + 1);
+        dcols[plen * ld] = 0.0f;  // col2im's zero slot
         float* bp = bpack.data();
         for (std::size_t b = b0; b < b1; ++b) {
           const float* x = input_.data() + b * src_stride;
@@ -175,32 +176,31 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*train*/) {
   const std::size_t batch = input.dim(0);
   in_shape_ = input.shape();
   Tensor out({batch, channels_, out_h_, out_w_});
-  argmax_.assign(out.numel(), 0);
+  argmax_.resize(out.numel());  // every entry is written below
   const float* pi = input.raw();
   float* po = out.raw();
-  std::size_t oi = 0;
-  for (std::size_t b = 0; b < batch; ++b) {
-    for (std::size_t c = 0; c < channels_; ++c) {
-      const float* chan = pi + (b * channels_ + c) * in_h_ * in_w_;
-      const std::size_t chan_base = (b * channels_ + c) * in_h_ * in_w_;
-      for (std::size_t oy = 0; oy < out_h_; ++oy) {
-        for (std::size_t ox = 0; ox < out_w_; ++ox, ++oi) {
-          float best = -std::numeric_limits<float>::infinity();
-          std::size_t best_idx = 0;
-          for (std::size_t ky = 0; ky < kernel_; ++ky) {
-            for (std::size_t kx = 0; kx < kernel_; ++kx) {
-              const std::size_t iy = oy * stride_ + ky;
-              const std::size_t ix = ox * stride_ + kx;
-              const float v = chan[iy * in_w_ + ix];
-              if (v > best) {
-                best = v;
-                best_idx = chan_base + iy * in_w_ + ix;
-              }
+  std::size_t* am = argmax_.data();
+  const std::size_t plane = in_h_ * in_w_;
+  for (std::size_t base = 0; base < batch * channels_ * plane; base += plane) {
+    for (std::size_t oy = 0; oy < out_h_; ++oy) {
+      const std::size_t row = base + oy * stride_ * in_w_;
+      for (std::size_t ox = 0; ox < out_w_; ++ox) {
+        // A window with nothing above -inf (all -inf or NaN) outputs -inf
+        // and routes its gradient to its own first element.
+        const std::size_t first = row + ox * stride_;
+        float best = -std::numeric_limits<float>::infinity();
+        std::size_t best_idx = first;
+        for (std::size_t ky = 0; ky < kernel_; ++ky) {
+          for (std::size_t i = first + ky * in_w_;
+               i < first + ky * in_w_ + kernel_; ++i) {
+            if (pi[i] > best) {
+              best = pi[i];
+              best_idx = i;
             }
           }
-          po[oi] = best;
-          argmax_[oi] = best_idx;
         }
+        *po++ = best;
+        *am++ = best_idx;
       }
     }
   }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "util/check.hpp"
+#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -33,8 +34,7 @@ namespace {
 // parameters and the thread count (threads partition M, never K).
 // ---------------------------------------------------------------------------
 
-// Register tile. 4×8 keeps the accumulator tile plus one A broadcast and
-// two B vectors inside 16 xmm registers on baseline x86-64.
+// Register tile: kMR rows of A against one kNR-wide packed B panel.
 constexpr std::size_t kMR = kGemmMR;
 constexpr std::size_t kNR = kGemmNR;
 // Cache blocking: packed B panel (kKC×kNC) ~2 MB streams from L3, each
@@ -52,30 +52,38 @@ enum class Trans { N, T };
 // Panel kernel behind gemm_panel() and the blocked GEMM: every kMR-row strip
 // of packed A against one packed B panel. Each kMR×kNR tile starts at 0 (or
 // at C when accumulating), takes its kl rank-1 updates in ascending p, and
-// is stored back to C. Dispatched at runtime: on AVX2 hardware each tile
-// row stays in one 8-lane register from the first update to the store.
-// Both variants perform the identical sequence of IEEE mul-then-add per
-// element (lanes are independent j columns; k stays serial, and FMA is
-// deliberately NOT used because fusing would change rounding), so results
-// are bit-identical across the dispatch.
+// is stored back to C. Three tiers, picked from util::simd::active_tier():
+// portable C++, AVX2 (each tile row in two 8-lane registers, so 8
+// independent accumulators) and AVX-512 (each tile row in one 16-lane
+// register; masked loads and stores cover nr < kNR). Every tier performs
+// the identical sequence of IEEE mul-then-add per element (lanes are
+// independent j columns; k stays serial, and FMA is deliberately NOT used
+// because fusing would change rounding; the library builds with
+// -ffp-contract=off so the compiler cannot fuse them either), so results
+// are bit-identical across tiers.
 // ---------------------------------------------------------------------------
 
+// The portable kernel takes each tile in two 4×8 halves: a half's
+// accumulators fit the 16 SSE registers of baseline x86-64, the whole 4×16
+// tile's do not. Columns are independent, so the halves change no sum.
+constexpr std::size_t kHalfNR = kNR / 2;
+
 /// tile[i][j] = c[i*ldc + j] for i < mr, j < nr; 0 elsewhere.
-inline void load_tile(const float* c, std::size_t ldc, std::size_t mr,
-                      std::size_t nr, float* tile) {
+inline void load_half_tile(const float* c, std::size_t ldc, std::size_t mr,
+                           std::size_t nr, float* tile) {
   for (std::size_t ii = 0; ii < kMR; ++ii) {
-    for (std::size_t jj = 0; jj < kNR; ++jj) {
-      tile[ii * kNR + jj] = ii < mr && jj < nr ? c[ii * ldc + jj] : 0.0f;
+    for (std::size_t jj = 0; jj < kHalfNR; ++jj) {
+      tile[ii * kHalfNR + jj] = ii < mr && jj < nr ? c[ii * ldc + jj] : 0.0f;
     }
   }
 }
 
 /// c[i*ldc + j] = tile[i][j] (+ bias[i]) for i < mr, j < nr.
-inline void store_tile(const float* tile, std::size_t mr, std::size_t nr,
-                       const float* bias, float* c, std::size_t ldc) {
+inline void store_half_tile(const float* tile, std::size_t mr, std::size_t nr,
+                            const float* bias, float* c, std::size_t ldc) {
   for (std::size_t ii = 0; ii < mr; ++ii) {
     float* dst = c + ii * ldc;
-    const float* src = tile + ii * kNR;
+    const float* src = tile + ii * kHalfNR;
     if (bias != nullptr) {
       for (std::size_t jj = 0; jj < nr; ++jj) dst[jj] = src[jj] + bias[ii];
     } else {
@@ -89,64 +97,144 @@ void panel_kernel_portable(const float* ap, std::size_t m, const float* bp,
                            bool accumulate, float* c, std::size_t ldc) {
   for (std::size_t i0 = 0; i0 < m; i0 += kMR, ap += kMR * kl) {
     const std::size_t mr = std::min(kMR, m - i0);
-    float* ct = c + i0 * ldc;
-    float acc[kMR * kNR] = {};
-    if (accumulate) load_tile(ct, ldc, mr, nr, acc);
-    for (std::size_t p = 0; p < kl; ++p) {
-      const float* arow = ap + p * kMR;
-      const float* brow = bp + p * kNR;
-      for (std::size_t ii = 0; ii < kMR; ++ii) {
-        const float av = arow[ii];
-        for (std::size_t jj = 0; jj < kNR; ++jj) {
-          acc[ii * kNR + jj] += av * brow[jj];
+    for (std::size_t j0 = 0; j0 < nr; j0 += kHalfNR) {
+      const std::size_t w = std::min(kHalfNR, nr - j0);
+      float* ct = c + i0 * ldc + j0;
+      float acc[kMR * kHalfNR] = {};
+      if (accumulate) load_half_tile(ct, ldc, mr, w, acc);
+      for (std::size_t p = 0; p < kl; ++p) {
+        const float* arow = ap + p * kMR;
+        const float* brow = bp + p * kNR + j0;
+        for (std::size_t ii = 0; ii < kMR; ++ii) {
+          const float av = arow[ii];
+          for (std::size_t jj = 0; jj < kHalfNR; ++jj) {
+            acc[ii * kHalfNR + jj] += av * brow[jj];
+          }
         }
       }
+      store_half_tile(acc, mr, w, bias == nullptr ? nullptr : bias + i0, ct,
+                      ldc);
     }
-    store_tile(acc, mr, nr, bias == nullptr ? nullptr : bias + i0, ct, ldc);
   }
 }
 
 #ifdef OSP_GEMM_X86_DISPATCH
-static_assert(kMR == 4 && kNR == 8, "AVX2 panel kernel assumes a 4x8 tile");
+static_assert(kMR == 4 && kNR == 16, "x86 panel kernels assume a 4x16 tile");
+
+/// One tile row in the AVX2 kernel: columns 0-7 and 8-15.
+struct RowAvx2 {
+  __m256 lo, hi;
+};
+
+__attribute__((target("avx2"))) inline RowAvx2 load_row_avx2(
+    const float* src, __m256i mask_lo, __m256i mask_hi) {
+  return {_mm256_maskload_ps(src, mask_lo),
+          _mm256_maskload_ps(src + 8, mask_hi)};
+}
+
+/// dst = row (+ bias[ii] when bias is non-null), masked unless `full`.
+__attribute__((target("avx2"))) inline void store_row_avx2(
+    RowAvx2 row, const float* bias, std::size_t ii, bool full,
+    __m256i mask_lo, __m256i mask_hi, float* dst) {
+  if (bias != nullptr) {
+    const __m256 b = _mm256_set1_ps(bias[ii]);
+    row.lo = _mm256_add_ps(row.lo, b);
+    row.hi = _mm256_add_ps(row.hi, b);
+  }
+  if (full) {
+    _mm256_storeu_ps(dst, row.lo);
+    _mm256_storeu_ps(dst + 8, row.hi);
+  } else {
+    _mm256_maskstore_ps(dst, mask_lo, row.lo);
+    _mm256_maskstore_ps(dst + 8, mask_hi, row.hi);
+  }
+}
+
 __attribute__((target("avx2"))) void panel_kernel_avx2(
     const float* ap, std::size_t m, const float* bp, std::size_t kl,
     std::size_t nr, const float* bias, bool accumulate, float* c,
     std::size_t ldc) {
-  alignas(32) float tile[kMR * kNR] = {};
+  // Lane j of the low (high) half is live while j (j + 8) < nr.
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256i live = _mm256_set1_epi32(static_cast<int>(nr));
+  const __m256i mask_lo = _mm256_cmpgt_epi32(live, lane);
+  const __m256i mask_hi =
+      _mm256_cmpgt_epi32(live, _mm256_add_epi32(lane, _mm256_set1_epi32(8)));
+  const bool full = nr == kNR;
   for (std::size_t i0 = 0; i0 < m; i0 += kMR, ap += kMR * kl) {
     const std::size_t mr = std::min(kMR, m - i0);
     float* ct = c + i0 * ldc;
-    __m256 c0 = _mm256_setzero_ps(), c1 = c0, c2 = c0, c3 = c0;
+    // Rows past mr start at 0 and are never stored.
+    const __m256 zero = _mm256_setzero_ps();
+    RowAvx2 r0{zero, zero}, r1 = r0, r2 = r0, r3 = r0;
     if (accumulate) {
-      load_tile(ct, ldc, mr, nr, tile);
-      c0 = _mm256_load_ps(tile + 0);
-      c1 = _mm256_load_ps(tile + 8);
-      c2 = _mm256_load_ps(tile + 16);
-      c3 = _mm256_load_ps(tile + 24);
+      r0 = load_row_avx2(ct, mask_lo, mask_hi);
+      if (mr > 1) r1 = load_row_avx2(ct + ldc, mask_lo, mask_hi);
+      if (mr > 2) r2 = load_row_avx2(ct + 2 * ldc, mask_lo, mask_hi);
+      if (mr > 3) r3 = load_row_avx2(ct + 3 * ldc, mask_lo, mask_hi);
     }
     for (std::size_t p = 0; p < kl; ++p) {
-      const __m256 bv = _mm256_loadu_ps(bp + p * 8);
-      const float* arow = ap + p * 4;
-      c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_broadcast_ss(arow + 0), bv));
-      c1 = _mm256_add_ps(c1, _mm256_mul_ps(_mm256_broadcast_ss(arow + 1), bv));
-      c2 = _mm256_add_ps(c2, _mm256_mul_ps(_mm256_broadcast_ss(arow + 2), bv));
-      c3 = _mm256_add_ps(c3, _mm256_mul_ps(_mm256_broadcast_ss(arow + 3), bv));
+      const __m256 blo = _mm256_loadu_ps(bp + p * kNR);
+      const __m256 bhi = _mm256_loadu_ps(bp + p * kNR + 8);
+      const float* arow = ap + p * kMR;
+      __m256 a = _mm256_broadcast_ss(arow + 0);
+      r0.lo = _mm256_add_ps(r0.lo, _mm256_mul_ps(a, blo));
+      r0.hi = _mm256_add_ps(r0.hi, _mm256_mul_ps(a, bhi));
+      a = _mm256_broadcast_ss(arow + 1);
+      r1.lo = _mm256_add_ps(r1.lo, _mm256_mul_ps(a, blo));
+      r1.hi = _mm256_add_ps(r1.hi, _mm256_mul_ps(a, bhi));
+      a = _mm256_broadcast_ss(arow + 2);
+      r2.lo = _mm256_add_ps(r2.lo, _mm256_mul_ps(a, blo));
+      r2.hi = _mm256_add_ps(r2.hi, _mm256_mul_ps(a, bhi));
+      a = _mm256_broadcast_ss(arow + 3);
+      r3.lo = _mm256_add_ps(r3.lo, _mm256_mul_ps(a, blo));
+      r3.hi = _mm256_add_ps(r3.hi, _mm256_mul_ps(a, bhi));
     }
-    const __m256 acc[kMR] = {c0, c1, c2, c3};
-    if (nr < kNR) {
-      for (std::size_t ii = 0; ii < kMR; ++ii) {
-        _mm256_store_ps(tile + ii * kNR, acc[ii]);
-      }
-      store_tile(tile, mr, nr, bias == nullptr ? nullptr : bias + i0, ct, ldc);
-      continue;
+    const float* bi = bias == nullptr ? nullptr : bias + i0;
+    store_row_avx2(r0, bi, 0, full, mask_lo, mask_hi, ct);
+    if (mr > 1) store_row_avx2(r1, bi, 1, full, mask_lo, mask_hi, ct + ldc);
+    if (mr > 2) store_row_avx2(r2, bi, 2, full, mask_lo, mask_hi, ct + 2 * ldc);
+    if (mr > 3) store_row_avx2(r3, bi, 3, full, mask_lo, mask_hi, ct + 3 * ldc);
+  }
+}
+
+/// dst = row (+ bias[ii] when bias is non-null) in the lanes of `mask`.
+__attribute__((target("avx512f"))) inline void store_row_avx512(
+    __m512 row, const float* bias, std::size_t ii, __mmask16 mask,
+    float* dst) {
+  if (bias != nullptr) row = _mm512_add_ps(row, _mm512_set1_ps(bias[ii]));
+  _mm512_mask_storeu_ps(dst, mask, row);
+}
+
+__attribute__((target("avx512f"))) void panel_kernel_avx512(
+    const float* ap, std::size_t m, const float* bp, std::size_t kl,
+    std::size_t nr, const float* bias, bool accumulate, float* c,
+    std::size_t ldc) {
+  const auto mask = static_cast<__mmask16>((1u << nr) - 1u);
+  for (std::size_t i0 = 0; i0 < m; i0 += kMR, ap += kMR * kl) {
+    const std::size_t mr = std::min(kMR, m - i0);
+    float* ct = c + i0 * ldc;
+    // Rows past mr start at 0 and are never stored.
+    __m512 r0 = _mm512_setzero_ps(), r1 = r0, r2 = r0, r3 = r0;
+    if (accumulate) {
+      r0 = _mm512_maskz_loadu_ps(mask, ct);
+      if (mr > 1) r1 = _mm512_maskz_loadu_ps(mask, ct + ldc);
+      if (mr > 2) r2 = _mm512_maskz_loadu_ps(mask, ct + 2 * ldc);
+      if (mr > 3) r3 = _mm512_maskz_loadu_ps(mask, ct + 3 * ldc);
     }
-    for (std::size_t ii = 0; ii < mr; ++ii) {
-      __m256 v = acc[ii];
-      if (bias != nullptr) {
-        v = _mm256_add_ps(v, _mm256_set1_ps(bias[i0 + ii]));
-      }
-      _mm256_storeu_ps(ct + ii * ldc, v);
+    for (std::size_t p = 0; p < kl; ++p) {
+      const __m512 b = _mm512_loadu_ps(bp + p * kNR);
+      const float* arow = ap + p * kMR;
+      r0 = _mm512_add_ps(r0, _mm512_mul_ps(_mm512_set1_ps(arow[0]), b));
+      r1 = _mm512_add_ps(r1, _mm512_mul_ps(_mm512_set1_ps(arow[1]), b));
+      r2 = _mm512_add_ps(r2, _mm512_mul_ps(_mm512_set1_ps(arow[2]), b));
+      r3 = _mm512_add_ps(r3, _mm512_mul_ps(_mm512_set1_ps(arow[3]), b));
     }
+    const float* bi = bias == nullptr ? nullptr : bias + i0;
+    store_row_avx512(r0, bi, 0, mask, ct);
+    if (mr > 1) store_row_avx512(r1, bi, 1, mask, ct + ldc);
+    if (mr > 2) store_row_avx512(r2, bi, 2, mask, ct + 2 * ldc);
+    if (mr > 3) store_row_avx512(r3, bi, 3, mask, ct + 3 * ldc);
   }
 }
 #endif
@@ -155,14 +243,21 @@ using PanelKernelFn = void (*)(const float*, std::size_t, const float*,
                                std::size_t, std::size_t, const float*, bool,
                                float*, std::size_t);
 
-PanelKernelFn pick_panel_kernel() {
+/// The panel kernel of the active SIMD tier (OSP_SIMD_TIER, force_tier()).
+PanelKernelFn panel_kernel() {
 #ifdef OSP_GEMM_X86_DISPATCH
-  if (__builtin_cpu_supports("avx2")) return panel_kernel_avx2;
+  switch (util::simd::active_tier()) {
+    case util::simd::Tier::kAvx512:
+      return panel_kernel_avx512;
+    case util::simd::Tier::kAvx2:
+    case util::simd::Tier::kAvx2Fma:
+      return panel_kernel_avx2;
+    case util::simd::Tier::kScalar:
+      break;
+  }
 #endif
   return panel_kernel_portable;
 }
-
-const PanelKernelFn g_panel_kernel = pick_panel_kernel();
 
 /// C[m,n] (row-major, leading dimension n) = op(A)·op(B), or += when
 /// `accumulate`.
@@ -203,9 +298,10 @@ void gemm_blocked(std::size_t m, std::size_t n, std::size_t k, const float* a,
       const std::size_t grain =
           std::max<std::size_t>(1, kMinFlopsPerChunk / strip_flops);
       const float* bpack_data = bpack.data();
+      const PanelKernelFn kernel = panel_kernel();
       util::ThreadPool::global().parallel_for(
           strips,
-          [&, bpack_data](std::size_t s0, std::size_t s1) {
+          [&, bpack_data, kernel](std::size_t s0, std::size_t s1) {
             thread_local std::vector<float> apack;
             apack.resize(kl * kMR);
             float* ap = apack.data();
@@ -215,9 +311,9 @@ void gemm_blocked(std::size_t m, std::size_t n, std::size_t k, const float* a,
               pack_a_strips(a + i0 * a_rs + pc * a_cs, mr, kl, a_rs, a_cs, ap);
               for (std::size_t jp = 0; jp < npanels; ++jp) {
                 const std::size_t j0 = jc + jp * kNR;
-                g_panel_kernel(ap, mr, bpack_data + jp * kl * kNR, kl,
-                               std::min(kNR, n - j0), nullptr,
-                               !first_panel || accumulate, c + i0 * n + j0, n);
+                kernel(ap, mr, bpack_data + jp * kl * kNR, kl,
+                       std::min(kNR, n - j0), nullptr,
+                       !first_panel || accumulate, c + i0 * n + j0, n);
               }
             }
           },
@@ -365,7 +461,7 @@ void pack_b_panel(const float* b, std::size_t k, std::size_t nr,
 void gemm_panel(const float* ap, std::size_t m, const float* bp,
                 std::size_t kl, std::size_t nr, const float* bias, float* c,
                 std::size_t ldc) {
-  g_panel_kernel(ap, m, bp, kl, nr, bias, /*accumulate=*/false, c, ldc);
+  panel_kernel()(ap, m, bp, kl, nr, bias, /*accumulate=*/false, c, ldc);
 }
 
 void add_bias_rows(Tensor& x, std::span<const float> bias) {
@@ -505,7 +601,6 @@ ConvGather::ConvGather(const Conv2dGeom& g)
   const auto zero_slot = static_cast<std::int32_t>(image_);
   x_idx_.assign(patch_len_ * ld_, zero_slot);
   xt_idx_.assign(patches_ * xt_ld_, zero_slot);
-  col2im_start_.assign(image_ + 1, 0);
   // Signed math: padding can take coordinates negative.
   const auto pad = static_cast<long long>(g.pad);
   for (std::size_t p = 0; p < patches_; ++p) {
@@ -526,44 +621,59 @@ ConvGather::ConvGather(const Conv2dGeom& g)
                                   static_cast<std::size_t>(ix);
           x_idx_[k * ld_ + p] = static_cast<std::int32_t>(pix);
           xt_idx_[p * xt_ld_ + k] = static_cast<std::int32_t>(pix);
-          ++col2im_start_[pix + 1];
         }
       }
     }
   }
-  for (std::size_t i = 0; i < image_; ++i) {
-    col2im_start_[i + 1] += col2im_start_[i];
+  // col2im: each pixel's sources in ascending p (the order a scatter-add
+  // col2im adds them), in blocks of kCol2imLanes pixels, padded to the
+  // widest pixel's count with dX's zero slot.
+  std::vector<std::size_t> count(image_, 0);
+  for (const std::int32_t pix : xt_idx_) {
+    if (pix != zero_slot) ++count[static_cast<std::size_t>(pix)];
   }
-  // Visiting p in ascending order lists each pixel's sources in the order
-  // a scatter-add col2im adds them.
-  col2im_src_.resize(static_cast<std::size_t>(col2im_start_[image_]));
-  std::vector<std::int32_t> cursor(col2im_start_.begin(),
-                                   col2im_start_.end() - 1);
+  for (const std::size_t n : count) col2im_width_ = std::max(col2im_width_, n);
+  const std::size_t blocks = (image_ + kCol2imLanes - 1) / kCol2imLanes;
+  col2im_src_.assign(blocks * col2im_width_ * kCol2imLanes,
+                     static_cast<std::int32_t>(patch_len_ * ld_));
+  std::fill(count.begin(), count.end(), 0);
   for (std::size_t p = 0; p < patches_; ++p) {
     for (std::size_t k = 0; k < patch_len_; ++k) {
       const std::int32_t pix = xt_idx_[p * xt_ld_ + k];
       if (pix == zero_slot) continue;
-      col2im_src_[static_cast<std::size_t>(cursor[pix]++)] =
-          static_cast<std::int32_t>(k * ld_ + p);
+      const auto i = static_cast<std::size_t>(pix);
+      col2im_src_[((i / kCol2imLanes) * col2im_width_ + count[i]++) *
+                      kCol2imLanes +
+                  i % kCol2imLanes] = static_cast<std::int32_t>(k * ld_ + p);
     }
   }
 }
 
 void ConvGather::pack_x(const float* src, std::size_t p0, float* bp) const {
+  OSP_CHECK(p0 % kNR == 0 && p0 < ld_, "pack_x: p0 must start a panel");
   gather_rows(src, x_idx_.data() + p0, ld_, patch_len_, bp);
 }
 
 void ConvGather::pack_xt(const float* src, std::size_t k0, float* bp) const {
+  OSP_CHECK(k0 % kNR == 0 && k0 < xt_ld_, "pack_xt: k0 must start a panel");
   gather_rows(src, xt_idx_.data() + k0, xt_ld_, patches_, bp);
 }
 
 void ConvGather::col2im(const float* dx, float* image) const {
-  const std::int32_t* start = col2im_start_.data();
+  // kCol2imLanes independent sums per block. A padding slot adds +0.0,
+  // which changes no sum: x + 0.0 == x for every x but -0.0, and a float
+  // sum that starts at +0.0 never becomes -0.0.
   const std::int32_t* src = col2im_src_.data();
-  for (std::size_t i = 0; i < image_; ++i) {
-    float sum = 0.0f;
-    for (std::int32_t e = start[i]; e < start[i + 1]; ++e) sum += dx[src[e]];
-    image[i] = sum;
+  for (std::size_t i0 = 0; i0 < image_;
+       i0 += kCol2imLanes, src += col2im_width_ * kCol2imLanes) {
+    float sum[kCol2imLanes] = {};
+    for (std::size_t e = 0; e < col2im_width_; ++e) {
+      for (std::size_t j = 0; j < kCol2imLanes; ++j) {
+        sum[j] += dx[src[e * kCol2imLanes + j]];
+      }
+    }
+    const std::size_t n = std::min(kCol2imLanes, image_ - i0);
+    for (std::size_t j = 0; j < n; ++j) image[i0 + j] = sum[j];
   }
 }
 

@@ -56,11 +56,12 @@ void transpose(const Tensor& a, Tensor& b);
 
 /// Packed GEMM operands, shared by the blocked matmul above and kernels
 /// that pack their own operands (nn::Conv2d gathers its B panels straight
-/// from the image). A is packed into k-major strips of kGemmMR rows, B into
-/// k-major panels kGemmNR columns wide; rows and columns past the matrix
+/// from the image). A is packed into k-major strips of kGemmMR = 4 rows, B
+/// into k-major panels kGemmNR = 16 columns wide (one AVX-512 register, or
+/// two AVX2 registers, per tile row); rows and columns past the matrix
 /// read 0.
 inline constexpr std::size_t kGemmMR = 4;
-inline constexpr std::size_t kGemmNR = 8;
+inline constexpr std::size_t kGemmNR = 16;
 
 /// Floats pack_a_strips writes for a rows×k matrix.
 [[nodiscard]] constexpr std::size_t packed_a_size(std::size_t rows,
@@ -84,7 +85,9 @@ void pack_b_panel(const float* b, std::size_t k, std::size_t nr,
 ///   c[i·ldc + j] = Σ_p A[i, p]·B[p, j]  (+ bias[i] when bias is non-null)
 /// for i < m and j < nr ≤ kGemmNR. Each sum starts at 0 and adds its terms
 /// in ascending p, one IEEE multiply then one add per term (never fused),
-/// exactly as every matmul above accumulates; the bias is added last.
+/// exactly as every matmul above accumulates; the bias is added last. The
+/// kernel follows util::simd::active_tier() (portable, AVX2 or AVX-512),
+/// and every tier gives the same bits.
 void gemm_panel(const float* ap, std::size_t m, const float* bp,
                 std::size_t kl, std::size_t nr, const float* bias, float* c,
                 std::size_t ldc);
@@ -116,12 +119,13 @@ struct Conv2dGeom {
 /// 2019, arXiv:1907.02129). X[patch_len, patches] is the im2col matrix of
 /// one image, X[(c·k + ky)·k + kx, oy·out_w + ox] = image[c, oy·stride + ky
 /// − pad, ox·stride + kx − pad]. It is never materialized: int32 tables
-/// built once pack GEMM B panels of X or Xᵀ straight from the image, and a
-/// CSR table runs col2im as a gather.
+/// built once pack GEMM B panels of X or Xᵀ straight from the image, and
+/// another runs col2im as a gather.
 ///
 /// A pack reads one sample laid out as its C·H·W image followed by a zero
 /// slot (`source_stride()` floats); padding and the lanes past the last
-/// row or column of X read that slot, so no pack branches.
+/// row or column of X read that slot, so no pack branches. col2im reads
+/// dX the same way: patch_len·ld() floats followed by a zero slot.
 class ConvGather {
  public:
   explicit ConvGather(const Conv2dGeom& g);
@@ -132,16 +136,19 @@ class ConvGather {
   [[nodiscard]] std::size_t ld() const { return ld_; }
 
   /// bp[k·kGemmNR + j] = X[k, p0 + j] for every k < patch_len: the B panel
-  /// of kGemmNR output positions for W·X.
+  /// of kGemmNR output positions for W·X. p0 is a multiple of kGemmNR
+  /// below patches.
   void pack_x(const float* src, std::size_t p0, float* bp) const;
 
   /// bp[p·kGemmNR + j] = X[k0 + j, p] for every p < patches: the B panel of
-  /// kGemmNR rows of X for G·Xᵀ.
+  /// kGemmNR rows of X for G·Xᵀ. k0 is a multiple of kGemmNR below
+  /// patch_len.
   void pack_xt(const float* src, std::size_t k0, float* bp) const;
 
   /// image[i] = Σ dx[k·ld() + p] over every (k, p) whose X[k, p] reads
   /// pixel i, summed from 0 in ascending p: the float order of a
-  /// scatter-add col2im into a zeroed image. Writes every pixel.
+  /// scatter-add col2im into a zeroed image. Writes every pixel. dx holds
+  /// patch_len·ld() + 1 floats, the last one +0.0.
   void col2im(const float* dx, float* image) const;
 
  private:
@@ -152,8 +159,10 @@ class ConvGather {
   std::size_t xt_ld_;  // patch_len rounded up to kGemmNR
   std::vector<std::int32_t> x_idx_;   // [patch_len_, ld_]
   std::vector<std::int32_t> xt_idx_;  // [patches_, xt_ld_]
-  std::vector<std::int32_t> col2im_start_;  // CSR row starts, image_ + 1
-  std::vector<std::int32_t> col2im_src_;    // offsets into dx
+  static constexpr std::size_t kCol2imLanes = 8;
+  std::size_t col2im_width_ = 0;  // most sources of any pixel
+  // [pixel block, source, lane] offsets into dx, padded with the zero slot
+  std::vector<std::int32_t> col2im_src_;
 };
 
 }  // namespace osp::tensor

@@ -19,6 +19,7 @@
 #include "nn/sequential.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace osp::nn {
@@ -441,39 +442,49 @@ TEST(Conv2dLayer, BitwiseEqualToIm2colReference) {
       {"patch_len 576", 64, 5, 5, 9, 3, 1, 1},
       {"5x5 kernel, stride 3, 8x11 input", 3, 8, 11, 4, 5, 3, 2},
   };
-  for (const Case& c : cases) {
-    for (const std::size_t batch : {std::size_t{1}, std::size_t{3}}) {
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        util::ThreadPool pool(threads);
-        util::ThreadPool::ScopedGlobal guard(pool);
-        util::Rng rng(100 + batch);
-        Conv2d layer("conv", c.c, c.oc, c.h, c.w, c.k, c.stride, c.pad, rng);
-        // A nonzero bias, and gradients that already hold a value: the
-        // layer must accumulate into them exactly as the reference does.
-        auto params = layer.params();
-        for (float& v : params[1].value->data()) {
-          v = static_cast<float>(rng.normal());
-        }
-        for (ParamRef& p : params) {
-          for (float& v : p.grad->data()) v = static_cast<float>(rng.normal());
-        }
-        const Tensor x = random_input({batch, c.c, c.h, c.w}, rng);
-        const tensor::Conv2dGeom& g = layer.geometry();
-        const Tensor gout =
-            random_input({batch, c.oc, g.out_h(), g.out_w()}, rng);
-        const ConvResult want =
-            reference_conv(g, x, *params[0].value, *params[1].value, gout,
-                           *params[0].grad, *params[1].grad);
+  // Every SIMD tier this CPU can run picks its own GEMM panel kernel.
+  for (int t = 0; t <= static_cast<int>(util::simd::hardware_tier()); ++t) {
+    const auto tier = static_cast<util::simd::Tier>(t);
+    const util::simd::ScopedTier scoped(tier);
+    for (const Case& c : cases) {
+      for (const std::size_t batch : {std::size_t{1}, std::size_t{3}}) {
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+          util::ThreadPool pool(threads);
+          util::ThreadPool::ScopedGlobal guard(pool);
+          util::Rng rng(100 + batch);
+          Conv2d layer("conv", c.c, c.oc, c.h, c.w, c.k, c.stride, c.pad, rng);
+          // A nonzero bias, and gradients that already hold a value: the
+          // layer must accumulate into them exactly as the reference does.
+          auto params = layer.params();
+          for (float& v : params[1].value->data()) {
+            v = static_cast<float>(rng.normal());
+          }
+          for (ParamRef& p : params) {
+            for (float& v : p.grad->data()) {
+              v = static_cast<float>(rng.normal());
+            }
+          }
+          const Tensor x = random_input({batch, c.c, c.h, c.w}, rng);
+          const tensor::Conv2dGeom& g = layer.geometry();
+          const Tensor gout =
+              random_input({batch, c.oc, g.out_h(), g.out_w()}, rng);
+          const ConvResult want =
+              reference_conv(g, x, *params[0].value, *params[1].value, gout,
+                             *params[0].grad, *params[1].grad);
 
-        const Tensor out = layer.forward(x, true);
-        const Tensor dx = layer.backward(gout);
-        const std::string where = std::string(c.name) + ", batch " +
-                                  std::to_string(batch) + ", " +
-                                  std::to_string(threads) + " threads";
-        EXPECT_TRUE(same_bits(out, want.out)) << "output: " << where;
-        EXPECT_TRUE(same_bits(dx, want.dx)) << "dx: " << where;
-        EXPECT_TRUE(same_bits(*params[0].grad, want.wgrad)) << "dW: " << where;
-        EXPECT_TRUE(same_bits(*params[1].grad, want.bgrad)) << "db: " << where;
+          const Tensor out = layer.forward(x, true);
+          const Tensor dx = layer.backward(gout);
+          const std::string where = std::string(c.name) + ", batch " +
+                                    std::to_string(batch) + ", " +
+                                    std::to_string(threads) + " threads, " +
+                                    util::simd::tier_name(tier);
+          EXPECT_TRUE(same_bits(out, want.out)) << "output: " << where;
+          EXPECT_TRUE(same_bits(dx, want.dx)) << "dx: " << where;
+          EXPECT_TRUE(same_bits(*params[0].grad, want.wgrad))
+              << "dW: " << where;
+          EXPECT_TRUE(same_bits(*params[1].grad, want.bgrad))
+              << "db: " << where;
+        }
       }
     }
   }
@@ -501,6 +512,28 @@ TEST(MaxPoolLayer, BackwardRoutesToArgmax) {
   const Tensor din = layer.backward(g);
   EXPECT_FLOAT_EQ(din.at(0, 0, 0, 1), 2.5f);
   EXPECT_FLOAT_EQ(din.at(0, 0, 0, 0), 0.0f);
+}
+
+TEST(MaxPoolLayer, WindowWithoutAFiniteMaxRoutesToItsFirstElement) {
+  // The second sample's 2x2 window holds only -inf: it outputs -inf and its
+  // gradient lands on that window's own first element, never on another
+  // sample's pixels.
+  constexpr float kNegInf = -std::numeric_limits<float>::infinity();
+  MaxPool2d layer("pool", 1, 2, 2, 2, 2);
+  Tensor in({2, 1, 2, 2});
+  for (std::size_t i = 0; i < 4; ++i) in[i] = static_cast<float>(i);
+  for (std::size_t i = 4; i < 8; ++i) in[i] = kNegInf;
+  const Tensor out = layer.forward(in, true);
+  EXPECT_EQ(out[0], 3.0f);
+  EXPECT_EQ(out[1], kNegInf);
+  Tensor g({2, 1, 1, 1});
+  g[0] = 1.0f;
+  g[1] = 2.0f;
+  const Tensor din = layer.backward(g);
+  for (std::size_t i = 0; i < 8; ++i) {
+    const float want = i == 3 ? 1.0f : i == 4 ? 2.0f : 0.0f;
+    EXPECT_EQ(din[i], want) << "input " << i;
+  }
 }
 
 TEST(MaxPoolLayer, GradientsViaFiniteDifference) {

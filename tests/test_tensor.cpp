@@ -1,17 +1,20 @@
 // Tensor library tests: shapes, access, matmul orientations against naive
 // references, the conv gather (implicit im2col) and its col2im adjoint, the
-// packed panel kernel, softmax, and initializers.
+// packed panel kernel (in every SIMD tier), softmax, and initializers.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "tensor/init.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace osp::tensor {
@@ -164,7 +167,7 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(128, 70, 5)));
 
 // Shapes chosen to stress the blocked kernel's edges: degenerate rows and
-// columns, primes, register-tile boundaries ±1 (the tile is 4×8), and a k
+// columns, primes, register-tile boundaries ±1 (the tile is 4×16), and a k
 // that crosses the 512-wide kc panel so the accumulator round-trips
 // through C.
 INSTANTIATE_TEST_SUITE_P(
@@ -203,62 +206,126 @@ TEST(Ops, MatmulTnAccAccumulatesIntoC) {
   }
 }
 
+/// Every SIMD tier this CPU can run, scalar first.
+std::vector<util::simd::Tier> runnable_tiers() {
+  std::vector<util::simd::Tier> tiers;
+  for (int t = 0; t <= static_cast<int>(util::simd::hardware_tier()); ++t) {
+    tiers.push_back(static_cast<util::simd::Tier>(t));
+  }
+  return tiers;
+}
+
 TEST(Ops, GemmPanelMatchesMatmulBitwise) {
   // One packed B panel against packed A strips must reproduce matmul's
-  // accumulation exactly, including partial strips (m % 4 != 0), partial
-  // panels (nr < 8), a row stride wider than nr, and the fused bias.
+  // accumulation exactly in every SIMD tier, including partial strips
+  // (m % 4 != 0), partial panels (nr < 16: the masked tails), a row stride
+  // wider than nr, and the fused bias.
   util::Rng rng(62);
-  for (const std::size_t m :
-       {std::size_t{1}, std::size_t{7}, std::size_t{12}}) {
-    for (const std::size_t nr : {std::size_t{3}, kGemmNR}) {
-      const std::size_t k = 37;
-      const Tensor a = random_matrix(m, k, rng);
-      const Tensor b = random_matrix(k, nr, rng);
-      const Tensor bias = random_matrix(1, m, rng);
-      Tensor expect({m, nr});
-      matmul(a, b, expect);
+  for (const util::simd::Tier tier : runnable_tiers()) {
+    const util::simd::ScopedTier scoped(tier);
+    for (const std::size_t m :
+         {std::size_t{1}, std::size_t{7}, std::size_t{12}}) {
+      for (const std::size_t nr : {std::size_t{1}, std::size_t{3},
+                                   std::size_t{8}, std::size_t{15},
+                                   kGemmNR}) {
+        const std::string where = std::string(util::simd::tier_name(tier)) +
+                                  ", m " + std::to_string(m) + ", nr " +
+                                  std::to_string(nr);
+        const std::size_t k = 37;
+        const Tensor a = random_matrix(m, k, rng);
+        const Tensor b = random_matrix(k, nr, rng);
+        const Tensor bias = random_matrix(1, m, rng);
+        Tensor expect({m, nr});
+        matmul(a, b, expect);
 
-      const std::size_t strips = (m + kGemmMR - 1) / kGemmMR;
-      std::vector<float> ap(strips * kGemmMR * k, 0.0f);
-      for (std::size_t i = 0; i < m; ++i) {
-        for (std::size_t p = 0; p < k; ++p) {
-          ap[(i / kGemmMR) * kGemmMR * k + p * kGemmMR + i % kGemmMR] =
-              a.at(i, p);
-        }
-      }
-      std::vector<float> bp(k * kGemmNR, 0.0f);
-      for (std::size_t p = 0; p < k; ++p) {
-        for (std::size_t j = 0; j < nr; ++j) bp[p * kGemmNR + j] = b.at(p, j);
-      }
-      // The exported packers produce the same layout, also when they read
-      // the operand transposed (row stride 1).
-      Tensor at({k, m}), bt({nr, k});
-      transpose(a, at);
-      transpose(b, bt);
-      std::vector<float> ap2(packed_a_size(m, k), -1.0f), bp2(k * kGemmNR, -1.0f);
-      ASSERT_EQ(ap2.size(), ap.size());
-      pack_a_strips(at.raw(), m, k, 1, m, ap2.data());
-      pack_b_panel(bt.raw(), k, nr, 1, k, bp2.data());
-      EXPECT_EQ(ap2, ap);
-      EXPECT_EQ(bp2, bp);
-      const std::size_t ldc = nr + 5;
-      std::vector<float> c(m * ldc, -1.0f), cb(m * ldc, -1.0f);
-      gemm_panel(ap.data(), m, bp.data(), k, nr, nullptr, c.data(), ldc);
-      gemm_panel(ap.data(), m, bp.data(), k, nr, bias.raw(), cb.data(), ldc);
-      for (std::size_t i = 0; i < m; ++i) {
-        for (std::size_t j = 0; j < ldc; ++j) {
-          if (j >= nr) {  // outside the panel: untouched
-            EXPECT_EQ(c[i * ldc + j], -1.0f);
-            EXPECT_EQ(cb[i * ldc + j], -1.0f);
-            continue;
+        const std::size_t strips = (m + kGemmMR - 1) / kGemmMR;
+        std::vector<float> ap(strips * kGemmMR * k, 0.0f);
+        for (std::size_t i = 0; i < m; ++i) {
+          for (std::size_t p = 0; p < k; ++p) {
+            ap[(i / kGemmMR) * kGemmMR * k + p * kGemmMR + i % kGemmMR] =
+                a.at(i, p);
           }
-          const float want = expect.at(i, j);
-          const float want_b = want + bias[i];
-          EXPECT_EQ(std::memcmp(&c[i * ldc + j], &want, sizeof(float)), 0);
-          EXPECT_EQ(std::memcmp(&cb[i * ldc + j], &want_b, sizeof(float)), 0);
+        }
+        std::vector<float> bp(k * kGemmNR, 0.0f);
+        for (std::size_t p = 0; p < k; ++p) {
+          for (std::size_t j = 0; j < nr; ++j) {
+            bp[p * kGemmNR + j] = b.at(p, j);
+          }
+        }
+        // The exported packers produce the same layout, also when they
+        // read the operand transposed (row stride 1).
+        Tensor at({k, m}), bt({nr, k});
+        transpose(a, at);
+        transpose(b, bt);
+        std::vector<float> ap2(packed_a_size(m, k), -1.0f),
+            bp2(k * kGemmNR, -1.0f);
+        ASSERT_EQ(ap2.size(), ap.size());
+        pack_a_strips(at.raw(), m, k, 1, m, ap2.data());
+        pack_b_panel(bt.raw(), k, nr, 1, k, bp2.data());
+        EXPECT_EQ(ap2, ap) << where;
+        EXPECT_EQ(bp2, bp) << where;
+        const std::size_t ldc = nr + 5;
+        std::vector<float> c(m * ldc, -1.0f), cb(m * ldc, -1.0f);
+        gemm_panel(ap.data(), m, bp.data(), k, nr, nullptr, c.data(), ldc);
+        gemm_panel(ap.data(), m, bp.data(), k, nr, bias.raw(), cb.data(),
+                   ldc);
+        for (std::size_t i = 0; i < m; ++i) {
+          for (std::size_t j = 0; j < ldc; ++j) {
+            if (j >= nr) {  // outside the panel: untouched
+              EXPECT_EQ(c[i * ldc + j], -1.0f) << where;
+              EXPECT_EQ(cb[i * ldc + j], -1.0f) << where;
+              continue;
+            }
+            const float want = expect.at(i, j);
+            const float want_b = want + bias[i];
+            EXPECT_EQ(std::memcmp(&c[i * ldc + j], &want, sizeof(float)), 0)
+                << where;
+            EXPECT_EQ(std::memcmp(&cb[i * ldc + j], &want_b, sizeof(float)),
+                      0)
+                << where;
+          }
         }
       }
     }
+  }
+}
+
+TEST(Ops, BlockedGemmBitwiseInEveryTier) {
+  // The blocked GEMM in every SIMD tier, in every orientation, against the
+  // straight-loop reference: m % 4 != 0 (a partial strip), n % 16 != 0 (a
+  // masked panel tail) and k > 512 (the accumulator round-trips through C
+  // between kc panels).
+  const std::size_t m = 37, k = 530, n = 45;
+  util::Rng rng(63);
+  const Tensor a = random_matrix(m, k, rng);
+  const Tensor b = random_matrix(k, n, rng);
+  Tensor at({k, m}), bt({n, k});
+  transpose(a, at);
+  transpose(b, bt);
+  const Tensor want = ref_matmul(a, b);
+  Tensor want_acc({m, n}, 0.5f);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t p = 0; p < k; ++p) {
+        want_acc.at(i, j) += a.at(i, p) * b.at(p, j);
+      }
+    }
+  }
+  const auto same = [](const Tensor& x, const Tensor& y) {
+    return std::memcmp(x.raw(), y.raw(), x.numel() * sizeof(float)) == 0;
+  };
+  for (const util::simd::Tier tier : runnable_tiers()) {
+    const util::simd::ScopedTier scoped(tier);
+    const char* name = util::simd::tier_name(tier);
+    Tensor c({m, n}), tn({m, n}), nt({m, n}), acc({m, n}, 0.5f);
+    matmul(a, b, c);
+    matmul_tn(at, b, tn);
+    matmul_nt(a, bt, nt);
+    matmul_tn_acc(at, b, acc);
+    EXPECT_TRUE(same(c, want)) << "matmul, " << name;
+    EXPECT_TRUE(same(tn, want)) << "matmul_tn, " << name;
+    EXPECT_TRUE(same(nt, want)) << "matmul_nt, " << name;
+    EXPECT_TRUE(same(acc, want_acc)) << "matmul_tn_acc, " << name;
   }
 }
 
@@ -439,9 +506,11 @@ TEST(ConvGather, IdentityKernelPacksTheImage) {
   }
   // Lanes past the last output position read the zero slot.
   std::vector<float> panel(g.patch_len() * kGemmNR, -1.0f);
-  gather.pack_x(src.data(), 8, panel.data());
-  EXPECT_FLOAT_EQ(panel[0], img[8]);
-  for (std::size_t j = 1; j < kGemmNR; ++j) EXPECT_FLOAT_EQ(panel[j], 0.0f);
+  const std::size_t last = (g.patches() - 1) / kGemmNR * kGemmNR;
+  gather.pack_x(src.data(), last, panel.data());
+  for (std::size_t j = 0; j < kGemmNR; ++j) {
+    EXPECT_FLOAT_EQ(panel[j], last + j < 9 ? img[last + j] : 0.0f);
+  }
 }
 
 TEST(ConvGather, PaddingReadsZero) {
@@ -486,6 +555,7 @@ TEST(ConvGather, Col2imIsAdjointOfPack) {
   const std::vector<float> src = gather_source(x);
   std::vector<float> y(g.patch_len() * gather.ld());
   for (float& v : y) v = static_cast<float>(rng.normal());
+  y.push_back(0.0f);  // col2im's zero slot
 
   double lhs = 0.0;
   for (std::size_t k = 0; k < g.patch_len(); ++k) {
